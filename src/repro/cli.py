@@ -55,7 +55,7 @@ from repro.analysis.stats import compute_traffic_statistics
 from repro.core.clustering import DomainClusterer
 from repro.core.dataflow import detection_graph
 from repro.core.detector import ClassifierConfig
-from repro.ml.svm import DEFAULT_CACHE_MB, SOLVERS
+from repro.ml.svm import DEFAULT_CACHE_MB
 from repro.core.pipeline import (
     STAGE_CLUSTER,
     MaliciousDomainDetector,
@@ -66,7 +66,8 @@ from repro.obs.tracing import trace
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
-from repro.embedding.line import KERNELS, LineConfig
+from repro.embedding.line import LineConfig
+from repro.errors import ArtifactIntegrityError
 from repro.ingest import (
     CheckpointedPipeline,
     ChunkPolicy,
@@ -202,16 +203,11 @@ def _parse_workers(value: str) -> int | str:
 
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
-        embedding=LineConfig(
-            dimension=args.dimension,
-            seed=args.seed,
-            kernel=args.line_kernel,
-        ),
+        embedding=LineConfig(dimension=args.dimension, seed=args.seed),
         parallel=ParallelConfig(
             workers=args.workers, backend=args.parallel_backend
         ),
         classifier=ClassifierConfig(
-            solver=getattr(args, "svm_solver", "cached"),
             kernel_cache_mb=getattr(args, "svm_cache_mb", DEFAULT_CACHE_MB),
         ),
     )
@@ -259,8 +255,13 @@ def _run_chunked_pipeline(
     *,
     cluster_k_max: int | None = None,
     cluster_seed: int = 0,
-) -> PipelineOutcome:
-    """Run the memory-bounded chunked pipeline for detect / cluster."""
+) -> PipelineOutcome | None:
+    """Run the memory-bounded chunked pipeline for detect / cluster.
+
+    Returns ``None`` after printing a one-line error when ``--resume``
+    meets a checkpoint that fails verification (for example one written
+    under a different configuration).
+    """
     config = _pipeline_config(args)
     default_policy = ChunkPolicy()
     policy = ChunkPolicy(
@@ -279,13 +280,17 @@ def _run_chunked_pipeline(
     pipeline = CheckpointedPipeline(
         config, IngestConfig(chunk=policy), checkpointer, dhcp=dhcp
     )
-    outcome = pipeline.run(
-        dns_log,
-        dataset_for,
-        resume=args.resume,
-        cluster_k_max=cluster_k_max,
-        cluster_seed=cluster_seed,
-    )
+    try:
+        outcome = pipeline.run(
+            dns_log,
+            dataset_for,
+            resume=args.resume,
+            cluster_k_max=cluster_k_max,
+            cluster_seed=cluster_seed,
+        )
+    except ArtifactIntegrityError as exc:
+        print(f"repro-dns {args.command}: {exc}", file=sys.stderr)
+        return None
     if outcome.resumed_from is not None:
         print(
             f"resumed from checkpoint stage '{outcome.resumed_from}'",
@@ -378,6 +383,8 @@ def cmd_detect(args) -> int:
             dhcp,
             lambda ds: build_labeled_dataset(feed, virustotal, ds),
         )
+        if outcome is None:
+            return 2
         detector = outcome.detector
         domains = outcome.domains
         scores = outcome.scores
@@ -451,6 +458,8 @@ def cmd_cluster(args) -> int:
             cluster_k_max=args.k_max,
             cluster_seed=args.seed,
         )
+        if outcome is None:
+            return 2
         detector = outcome.detector
         clusters = outcome.clusters or []
         print(f"{len(clusters)} clusters")
@@ -696,18 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--parallel-backend", choices=list(BACKENDS),
                           default="process",
                           help="worker backend when --workers > 1")
-    p_detect.add_argument("--line-kernel", choices=list(KERNELS),
-                          default="segment",
-                          help="LINE SGD kernel: fused 'segment' "
-                          "(default) or the 'add_at' reference loop")
-    p_detect.add_argument("--svm-solver", choices=list(SOLVERS),
-                          default="cached", dest="svm_solver",
-                          help="SMO solver: row-'cached' with shrinking "
-                          "(default) or the full-matrix 'dense' reference")
     p_detect.add_argument("--svm-cache-mb", type=float,
                           default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
                           metavar="MB",
-                          help="kernel row-cache budget for the cached "
+                          help="kernel row-cache budget for the SMO "
                           "solver (MiB, default %(default)s)")
     p_detect.add_argument("--metrics-out", metavar="PATH", default=None,
                           help="write a JSON metrics snapshot to PATH")
@@ -731,18 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--parallel-backend", choices=list(BACKENDS),
                            default="process",
                            help="worker backend when --workers > 1")
-    p_cluster.add_argument("--line-kernel", choices=list(KERNELS),
-                           default="segment",
-                           help="LINE SGD kernel: fused 'segment' "
-                           "(default) or the 'add_at' reference loop")
-    p_cluster.add_argument("--svm-solver", choices=list(SOLVERS),
-                           default="cached", dest="svm_solver",
-                           help="SMO solver: row-'cached' with shrinking "
-                           "(default) or the full-matrix 'dense' reference")
     p_cluster.add_argument("--svm-cache-mb", type=float,
                            default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
                            metavar="MB",
-                           help="kernel row-cache budget for the cached "
+                           help="kernel row-cache budget for the SMO "
                            "solver (MiB, default %(default)s)")
     p_cluster.add_argument("--metrics-out", metavar="PATH", default=None,
                            help="write a JSON metrics snapshot to PATH")

@@ -541,7 +541,6 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
             "classifier_fitted",
             samples=len(dataset.domains),
             support_vectors=classifier.support_vector_count,
-            solver=self.classifier.solver,
         )
         if self.score_all:
             matrix = space.matrix(order, self.views)
@@ -562,7 +561,6 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
         )
         return {
             "domains": len(domains),
-            "solver": self.classifier.solver,
             "kernel_cache_mb": self.classifier.kernel_cache_mb,
         }
 

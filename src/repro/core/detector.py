@@ -34,10 +34,7 @@ class MaliciousDomainClassifier:
             F1 — the paper's "we could set a threshold value for d(x)"
             (section 6.2) made concrete. Pass an explicit float (e.g.
             0.0, the SVM's natural boundary) to fix it instead.
-        solver: SMO solver variant — ``"cached"`` (default; LRU kernel
-            row cache + shrinking) or ``"dense"`` (full Gram matrix
-            reference). Both produce the same decision function.
-        kernel_cache_mb: Kernel-row cache budget (MiB) for the cached
+        kernel_cache_mb: Kernel-row cache budget (MiB) for the SMO
             solver.
     """
 
@@ -46,7 +43,6 @@ class MaliciousDomainClassifier:
         c: float = PAPER_PENALTY,
         gamma: float = PAPER_GAMMA,
         threshold: float | None = None,
-        solver: str = "cached",
         kernel_cache_mb: float = DEFAULT_CACHE_MB,
     ) -> None:
         self.threshold = threshold
@@ -55,7 +51,6 @@ class MaliciousDomainClassifier:
             c=c,
             kernel="rbf",
             gamma=gamma,
-            solver=solver,
             kernel_cache_mb=kernel_cache_mb,
         )
         self._fitted = False
@@ -130,8 +125,8 @@ class ClassifierConfig:
     """Classify-stage knobs threaded through the pipeline config.
 
     None of these affect *what* the paper's model computes for a
-    converged fit — ``solver``/``kernel_cache_mb`` trade memory against
-    speed — so they stay out of :func:`pipeline_fingerprint` and
+    converged fit — ``kernel_cache_mb`` trades memory against speed —
+    so they stay out of :func:`pipeline_fingerprint` and
     existing checkpoints remain valid. Picklable (frozen dataclass of
     primitives), so :meth:`build` can serve as a process-pool model
     factory for parallel cross-validation.
@@ -140,7 +135,6 @@ class ClassifierConfig:
     c: float = PAPER_PENALTY
     gamma: float = PAPER_GAMMA
     threshold: float | None = None
-    solver: str = "cached"
     kernel_cache_mb: float = DEFAULT_CACHE_MB
 
     def build(self) -> MaliciousDomainClassifier:
@@ -149,6 +143,5 @@ class ClassifierConfig:
             c=self.c,
             gamma=self.gamma,
             threshold=self.threshold,
-            solver=self.solver,
             kernel_cache_mb=self.kernel_cache_mb,
         )

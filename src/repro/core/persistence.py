@@ -52,7 +52,11 @@ def load_embedding(path: str | Path) -> LineEmbedding:
             raise DatasetError(
                 f"unsupported embedding format version {version}"
             )
-        config = LineConfig(**json.loads(str(archive["config_json"])))
+        config_fields = json.loads(str(archive["config_json"]))
+        # Archives written while the SGD inner loop was selectable carry
+        # a "kernel" key; there is one loop now, so it is dropped.
+        config_fields.pop("kernel", None)
+        config = LineConfig(**config_fields)
         return LineEmbedding(
             kind=str(archive["kind"]),
             domains=[str(d) for d in archive["domains"]],
@@ -155,7 +159,6 @@ def save_classifier(
         "coef0": svm.coef0,
         "tolerance": svm.tolerance,
         "max_iterations": svm.max_iterations,
-        "solver": svm.solver,
         "kernel_cache_mb": svm.kernel_cache_mb,
         # The configured threshold (None = calibrate on fit) and the
         # value that calibration actually produced.
@@ -188,16 +191,15 @@ def load_classifier(path: str | Path) -> MaliciousDomainClassifier:
             )
         params = json.loads(str(archive["params_json"]))
         threshold = params["threshold"]
-        # Archives written before the cached solver existed carry no
-        # solver keys; default to its defaults (refitting such a model
-        # uses the cached path, the stored decision rule is unaffected).
-        solver = str(params.get("solver", "cached"))
+        # Archives written before the row-cached solver carry no
+        # kernel_cache_mb, and archives written while the solver was
+        # selectable carry a "solver" key; neither changes the stored
+        # decision rule, so the first defaults and the second is ignored.
         kernel_cache_mb = float(params.get("kernel_cache_mb", DEFAULT_CACHE_MB))
         classifier = MaliciousDomainClassifier(
             c=float(params["c"]),
             gamma=float(params["gamma"]),
             threshold=None if threshold is None else float(threshold),
-            solver=solver,
             kernel_cache_mb=kernel_cache_mb,
         )
         svm = SupportVectorClassifier(
@@ -208,7 +210,6 @@ def load_classifier(path: str | Path) -> MaliciousDomainClassifier:
             coef0=float(params["coef0"]),
             tolerance=float(params["tolerance"]),
             max_iterations=int(params["max_iterations"]),
-            solver=solver,
             kernel_cache_mb=kernel_cache_mb,
         )
         svm._support_vectors = np.asarray(

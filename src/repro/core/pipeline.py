@@ -96,9 +96,6 @@ class PipelineConfig:
         pruning: Graph pruning rules (paper defaults).
         embedding: LINE hyperparameter template; per-view seeds are
             derived from its seed so the three views train independently.
-            Its ``kernel`` field selects the SGD inner loop for every
-            view (fused ``"segment"`` by default, ``"add_at"`` as the
-            reference — see ``docs/embedding-kernels.md``).
         parallel: Worker policy for the embedding stage — the three
             views (and both orders of ``order="both"``) train as
             independent tasks under it — and for
@@ -108,11 +105,10 @@ class PipelineConfig:
             embeddings and fold scores for the same seed (see
             ``docs/parallelism.md``).
         classifier: SVM settings for the classify stage — the paper's
-            C/gamma plus the solver selection (``"cached"`` row-cache
-            SMO by default, ``"dense"`` reference) and its
-            ``kernel_cache_mb`` budget (see ``docs/ml.md``). Solver
-            choice does not enter the pipeline fingerprint: it changes
-            how the model is computed, not what it computes.
+            C/gamma plus the SMO solver's ``kernel_cache_mb`` budget
+            (see ``docs/ml.md``). The cache budget does not enter the
+            pipeline fingerprint: it changes how the model is computed,
+            not what it computes.
         min_similarity: Projection edge threshold (near-zero keeps all
             overlaps).
         views: Feature views used for classification; the default is all
@@ -273,58 +269,6 @@ class MaliciousDomainDetector:
         self._store.put(RAW_GRAPHS, (host_domain, domain_ip, domain_time))
         self._execute({STAGE_PRUNE})
         return self._store.get(PRUNING_REPORT)
-
-    # ------------------------------------------------------------------
-    # Checkpoint-resume entry points (repro.ingest.runner)
-    #
-    # Each adopt_* installs the output of one already-completed stage
-    # without recomputing it, so a resumed pipeline continues from its
-    # last checkpoint with exactly the state a cold run would have had.
-
-    def adopt_pruned_graphs(
-        self,
-        host_domain: BipartiteGraph,
-        domain_ip: BipartiteGraph,
-        domain_time: BipartiteGraph,
-        domain_order: Sequence[str],
-        report: PruningReport | None = None,
-    ) -> None:
-        """Install already-pruned graphs and their domain order.
-
-        Unlike :meth:`adopt_graphs` this does *not* re-run pruning —
-        pruning is not idempotent (host-count denominators change once
-        edges are dropped), so a checkpointed pipeline restores the
-        pruned graphs verbatim.
-        """
-        self._store.put(
-            PRUNED_GRAPHS, (host_domain, domain_ip, domain_time)
-        )
-        self._store.put(DOMAIN_ORDER, list(domain_order))
-        if report is None:
-            self._store.discard(PRUNING_REPORT)
-        else:
-            self._store.put(PRUNING_REPORT, report)
-
-    def adopt_similarity_graphs(
-        self, graphs: dict[FeatureView, SimilarityGraph]
-    ) -> None:
-        """Install already-projected similarity graphs."""
-        self._store.put(SIMILARITY_GRAPHS, dict(graphs))
-        if not self._store.has(DOMAIN_ORDER) and graphs:
-            any_graph = next(iter(graphs.values()))
-            self._store.put(DOMAIN_ORDER, list(any_graph.domains))
-
-    def adopt_feature_space(self, space: FeatureSpace) -> None:
-        """Install an already-trained feature space."""
-        self._store.put(FEATURE_SPACE, space)
-        if not self._store.has(DOMAIN_ORDER):
-            self._store.put(DOMAIN_ORDER, list(space.query.domains))
-
-    def adopt_classifier(
-        self, classifier: MaliciousDomainClassifier
-    ) -> None:
-        """Install an already-fitted classifier."""
-        self._store.put(CLASSIFIER, classifier)
 
     # ------------------------------------------------------------------
     # Stage 3a: projections

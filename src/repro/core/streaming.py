@@ -45,7 +45,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.ingest.chunking import ChunkedTraceReader
     from repro.serve.registry import ModelRegistry
 
 _log = get_logger(__name__)
@@ -180,23 +179,6 @@ class StreamingDetector:
         """Feed new traffic into the behavioral graphs."""
         return self.builder.ingest(records)
 
-    def ingest_stream(self, reader: "ChunkedTraceReader") -> int:
-        """Drain a chunked trace reader into the behavioral graphs.
-
-        Batches flow through :meth:`ingest` one chunk at a time, so peak
-        memory stays bounded by the reader's chunk policy regardless of
-        trace size. The reader's monotone cursor advances as chunks are
-        consumed — callers that persist it (e.g. alongside a model
-        publish) can reopen the trace with
-        ``ChunkedTraceReader(path, start_record=cursor)`` after a
-        restart and continue exactly where ingestion stopped. Returns
-        the number of records ingested from this call.
-        """
-        total = 0
-        for batch in reader:
-            total += self.ingest(batch.records)
-        return total
-
     def refresh(self, dataset: LabeledDataset) -> "StreamingDetector":
         """Rebuild projections, embeddings, and the classifier.
 
@@ -237,7 +219,6 @@ class StreamingDetector:
             seconds=elapsed,
             embedding_backend=self.config.parallel.backend,
             embedding_workers=self.config.parallel.resolved_workers(),
-            embedding_kernel=self.config.embedding.kernel,
         )
         return self
 

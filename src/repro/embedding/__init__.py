@@ -2,14 +2,13 @@
 
 from repro.embedding.alias import AliasSampler
 from repro.embedding.deepwalk import DeepWalkConfig, train_deepwalk
-from repro.embedding.kernels import KERNELS, segment_scatter_add
+from repro.embedding.kernels import segment_scatter_add
 from repro.embedding.line import LineConfig, LineEmbedding, train_line
 from repro.embedding.tsne import TsneConfig, tsne_embed
 
 __all__ = [
     "AliasSampler",
     "DeepWalkConfig",
-    "KERNELS",
     "LineConfig",
     "LineEmbedding",
     "TsneConfig",

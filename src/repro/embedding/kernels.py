@@ -1,25 +1,18 @@
-"""Fused minibatch SGD kernels for LINE training.
+"""Fused minibatch SGD kernel for LINE training.
 
 The training loop in :mod:`repro.embedding.line` decomposes into
-independent single-order tasks; this module provides the two
-interchangeable inner loops (*kernels*) that execute one task:
-
-``"segment"`` (default)
-    A fused pass per minibatch: all ``negatives`` noise vertices are
-    drawn in one alias call, the positive and negative context rows are
-    gathered together as one ``(batch, K+1)`` block, scores/sigmoids/
-    coefficients are computed in-place on that block, and the gradient
-    scatter-adds run as segment reductions at C speed instead of one
-    ``np.add.at`` per negative. Edge orientation is pre-doubled (each
-    undirected edge appears once per direction at its full weight) so
-    the per-batch coin-flip pass disappears, and randomness is drawn in
-    multi-batch chunks to amortize generator overhead.
-
-``"add_at"`` (reference)
-    The straightforward loop this repo started with: one
-    ``np.add.at`` scatter per negative sample. Kept selectable as the
-    behavioral reference the segment kernel is validated against, and
-    as the fallback of record when reading the math.
+independent single-order tasks; :func:`train_order_segment` executes
+one. It makes a fused pass per minibatch: all ``negatives`` noise
+vertices are drawn in one alias call, the positive and negative
+context rows are gathered together as one ``(batch, K+1)`` block,
+scores/sigmoids/coefficients are computed in-place on that block, and
+the gradient scatter-adds run as segment reductions at C speed instead
+of one ``np.add.at`` per negative. Edge orientation is pre-doubled
+(each undirected edge appears once per direction at its full weight)
+so the per-batch coin-flip pass disappears, and randomness is drawn in
+multi-batch chunks to amortize generator overhead. The per-negative
+``np.add.at`` loop this repo started with lives on in
+``tests/oracles.py`` as the reference the kernel is validated against.
 
 Scatter strategy. ``np.add.at`` applies updates sequentially in input
 order, which is exactly what a CSC sparse matrix-times-dense-block
@@ -36,12 +29,12 @@ lost: numpy's stable int64 argsort costs more than the whole fused
 batch, and bincount materializes per-dimension temporaries whose
 final ``out += tmp`` changes summation order.
 
-Determinism: each kernel is a pure function of (arrays, config, rng
-state), so for a fixed seed and kernel the serial, thread, and process
-backends produce byte-identical embeddings. The two kernels draw
-different random streams (chunked two-call sampling vs. per-negative
-calls), so their outputs are *not* comparable bit-for-bit — their
-scatter primitives are (see ``tests/test_embedding_kernels.py``), and
+Determinism: the kernel is a pure function of (arrays, config, rng
+state), so for a fixed seed the serial, thread, and process backends
+produce byte-identical embeddings. The reference loop draws a different
+random stream (per-negative calls instead of chunked two-call
+sampling), so the two are *not* comparable bit-for-bit — their scatter
+primitives are (see ``tests/test_embedding_kernels.py``), and
 end-to-end quality is pinned by the pipeline integration test.
 """
 
@@ -52,22 +45,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.embedding.alias import AliasSampler
-from repro.errors import EmbeddingError
 from repro.obs.progress import ProgressCallback
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.embedding.line import LineConfig
 
 __all__ = [
-    "KERNELS",
     "prepare_edge_arrays",
     "segment_scatter_add",
-    "train_order_add_at",
     "train_order_segment",
 ]
-
-#: Selectable kernel backends (``LineConfig.kernel`` / ``--line-kernel``).
-KERNELS: tuple[str, ...] = ("segment", "add_at")
 
 _SCORE_CLIP = 10.0
 
@@ -102,32 +89,20 @@ def prepare_edge_arrays(
     rows: np.ndarray,
     cols: np.ndarray,
     weights: np.ndarray,
-    kernel: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays and sampling weights in the layout ``kernel`` expects.
+    """Edge arrays and sampling weights in the layout the kernel expects.
 
-    ``add_at`` trains on the graph's arrays as-is and flips orientation
-    per sample. ``segment`` pre-doubles instead: each undirected edge
-    appears once per direction, both at the edge's weight, so sampling
-    the doubled table is distribution-identical to sample-then-flip
-    (each direction carries half the total mass) without spending a
-    random draw or a ``np.where`` pass per batch on the flip.
+    Orientation is pre-doubled: each undirected edge appears once per
+    direction, both at the edge's weight, so sampling the doubled table
+    is distribution-identical to sample-then-flip (each direction
+    carries half the total mass) without spending a random draw or a
+    ``np.where`` pass per batch on the flip.
 
     Returns ``(sources, targets, sample_weights)``; build the edge
     :class:`~repro.embedding.alias.AliasSampler` over ``sample_weights``.
     Callers on the shared-memory path ship exactly these arrays so
     worker processes train on the same bytes the serial path uses.
     """
-    if kernel not in KERNELS:
-        raise EmbeddingError(
-            f"unknown kernel {kernel!r} (expected one of {KERNELS})"
-        )
-    if kernel == "add_at":
-        return (
-            np.ascontiguousarray(rows),
-            np.ascontiguousarray(cols),
-            np.asarray(weights, dtype=np.float64),
-        )
     node_bound = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
     dtype = _index_dtype(node_bound)
     sources = np.concatenate([rows, cols]).astype(dtype, copy=False)
@@ -168,14 +143,14 @@ def segment_scatter_add(
 
 
 class _ProgressMeter:
-    """Shared progress/loss cadence for both kernels.
+    """Progress/loss cadence of one training run.
 
     Reports ``on_epoch`` about :data:`_REPORTS_PER_ORDER` times per
     order at fixed sample-count thresholds (the last one equals
     ``total_samples`` so the final batch always reports), passing the
     mean per-batch loss since the previous report. Instantiated only
-    when a callback is present — with ``progress=None`` the kernels
-    skip all loss bookkeeping.
+    when a callback is present — with ``progress=None`` the kernel
+    skips all loss bookkeeping.
     """
 
     __slots__ = (
@@ -249,15 +224,22 @@ def train_order_segment(
     epoch_offset: int = 0,
     epoch_total: int = 0,
 ) -> np.ndarray:
-    """Fused segment-reduction kernel (``kernel="segment"``).
+    """Train one proximity order; returns the vertex embedding matrix.
 
+    ``use_context=True`` trains second-order proximity with separate
+    context vectors; ``False`` trains first-order with shared vectors.
     ``sources``/``targets``/``edge_sampler`` must come from
-    :func:`prepare_edge_arrays` with ``kernel="segment"`` (pre-doubled
-    orientation). Per batch the loop runs one gather of the positive
-    and all ``K`` negative context rows, one score/sigmoid pass on the
-    ``(batch, K+1)`` block, and three compiled segment reductions
-    (gradient-to-source, rank-1 scatter to the context table, row
-    scatter to the vertex table).
+    :func:`prepare_edge_arrays` (pre-doubled orientation). Per batch
+    the loop runs one gather of the positive and all ``K`` negative
+    context rows, one score/sigmoid pass on the ``(batch, K+1)`` block,
+    and three compiled segment reductions (gradient-to-source, rank-1
+    scatter to the context table, row scatter to the vertex table).
+
+    When ``progress`` is given, the loop additionally tracks the running
+    negative-sampling loss and reports ``on_epoch`` about
+    ``_REPORTS_PER_ORDER`` times over the run (``epoch_offset`` /
+    ``epoch_total`` stitch the two runs of ``order="both"`` into one
+    sequence). With ``progress=None`` no loss terms are computed at all.
     """
     dtype = _index_dtype(node_count, edge_sampler.size)
     vertex = (rng.uniform(-0.5, 0.5, size=(node_count, dimension))) / dimension
@@ -403,147 +385,3 @@ def train_order_segment(
             if meter is not None:
                 meter.update(drawn, batch_loss)
     return vertex
-
-
-def train_order_add_at(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    edge_sampler: AliasSampler,
-    noise_sampler: AliasSampler,
-    node_count: int,
-    dimension: int,
-    use_context: bool,
-    config: "LineConfig",
-    rng: np.random.Generator,
-    total_samples: int,
-    progress: ProgressCallback | None = None,
-    epoch_offset: int = 0,
-    epoch_total: int = 0,
-) -> np.ndarray:
-    """Reference kernel (``kernel="add_at"``): per-negative ``np.add.at``.
-
-    The original training loop, kept selectable for comparison runs and
-    as the readable statement of the update rule. Context updates apply
-    eagerly between negatives (each negative's gather sees the previous
-    scatter), where the segment kernel computes a whole batch from its
-    start-of-batch snapshot — one of the documented ways the kernels'
-    random streams and summation orders differ.
-    """
-    vertex = (rng.uniform(-0.5, 0.5, size=(node_count, dimension))) / dimension
-    context = (
-        np.zeros((node_count, dimension))
-        if use_context
-        else vertex  # first order: both sides share the same table
-    )
-
-    drawn = 0
-    batch_size = _resolve_batch_size(config.batch_size, node_count)
-    negatives = config.negatives
-    meter = (
-        _ProgressMeter(progress, total_samples, epoch_offset, epoch_total)
-        if progress is not None
-        else None
-    )
-    batch_loss = 0.0
-    while drawn < total_samples:
-        batch = min(batch_size, total_samples - drawn)
-        lr = config.initial_lr * max(1e-4, 1.0 - drawn / total_samples)
-        edge_ids = edge_sampler.sample(batch, rng)
-        # Random orientation: undirected edges act as two directed ones.
-        flip = rng.uniform(size=batch) < 0.5
-        u = np.where(flip, targets[edge_ids], sources[edge_ids])
-        v = np.where(flip, sources[edge_ids], targets[edge_ids])
-
-        grad_u = np.zeros((batch, dimension))
-
-        # Positive pairs: label 1. One sigmoid serves both the loss and
-        # the gradient coefficient.
-        pos_scores = np.einsum("ij,ij->i", vertex[u], context[v])
-        pos_sigmoid = _sigmoid(pos_scores)
-        if meter is not None:
-            batch_loss = float(np.mean(-np.log(pos_sigmoid)))
-        pos_coeff = (pos_sigmoid - 1.0) * lr
-        grad_u += pos_coeff[:, None] * context[v]
-        delta_v = pos_coeff[:, None] * vertex[u]
-
-        if use_context:
-            np.add.at(context, v, -delta_v)
-        else:
-            np.add.at(vertex, v, -delta_v)
-
-        # Negative pairs: label 0, drawn from the noise distribution.
-        # sigma(-x) = 1 - sigma(x), so the one sigmoid serves here too.
-        for __ in range(negatives):
-            neg = noise_sampler.sample(batch, rng)
-            neg_scores = np.einsum("ij,ij->i", vertex[u], context[neg])
-            neg_sigmoid = _sigmoid(neg_scores)
-            if meter is not None:
-                batch_loss += float(np.mean(-np.log1p(-neg_sigmoid)))
-            neg_coeff = neg_sigmoid * lr
-            grad_u += neg_coeff[:, None] * context[neg]
-            delta_neg = neg_coeff[:, None] * vertex[u]
-            if use_context:
-                np.add.at(context, neg, -delta_neg)
-            else:
-                np.add.at(vertex, neg, -delta_neg)
-
-        np.add.at(vertex, u, -grad_u)
-        drawn += batch
-        if meter is not None:
-            meter.update(drawn, batch_loss)
-    return vertex
-
-
-def _sigmoid(scores: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(scores, -_SCORE_CLIP, _SCORE_CLIP)))
-
-
-_KERNEL_FUNCS = {
-    "segment": train_order_segment,
-    "add_at": train_order_add_at,
-}
-
-
-def train_single_order(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    edge_sampler: AliasSampler,
-    noise_sampler: AliasSampler,
-    node_count: int,
-    dimension: int,
-    use_context: bool,
-    config: "LineConfig",
-    rng: np.random.Generator,
-    total_samples: int,
-    progress: ProgressCallback | None = None,
-    epoch_offset: int = 0,
-    epoch_total: int = 0,
-) -> np.ndarray:
-    """Dispatch one single-order training run to ``config.kernel``.
-
-    The edge arrays and sampler must have been prepared for that kernel
-    (:func:`prepare_edge_arrays`); both the serial path and the
-    shared-memory worker path satisfy this by construction, which is
-    what keeps serial/thread/process output byte-identical per kernel.
-    """
-    try:
-        kernel = _KERNEL_FUNCS[config.kernel]
-    except KeyError:
-        raise EmbeddingError(
-            f"unknown kernel {config.kernel!r} (expected one of {KERNELS})"
-        ) from None
-    return kernel(
-        sources,
-        targets,
-        edge_sampler,
-        noise_sampler,
-        node_count,
-        dimension,
-        use_context,
-        config,
-        rng,
-        total_samples,
-        progress,
-        epoch_offset,
-        epoch_total,
-    )

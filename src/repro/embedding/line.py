@@ -10,10 +10,9 @@ proximity (shared neighborhoods). This is a from-scratch reimplementation:
   word2vec-style negative sampling;
 * optimization is stochastic gradient descent with a linearly decaying
   learning rate, vectorized over minibatches — the numpy analogue of
-  LINE's lock-free asynchronous updates. The inner loop is a pluggable
-  *kernel* (:mod:`repro.embedding.kernels`): ``"segment"`` (default)
-  runs a fused pass with compiled segment-reduction scatters,
-  ``"add_at"`` is the per-negative ``np.add.at`` reference loop.
+  LINE's lock-free asynchronous updates. The inner loop
+  (:mod:`repro.embedding.kernels`) runs a fused pass per minibatch
+  with compiled segment-reduction scatters.
 
 ``order="both"`` trains first- and second-order embeddings of half the
 requested dimension each and concatenates them, as in the LINE paper's
@@ -39,9 +38,8 @@ import numpy as np
 from repro.embedding.alias import AliasSampler
 from repro.embedding.kernels import (
     _REPORTS_PER_ORDER as _REPORTS_PER_ORDER,  # re-export: partition planning
-    KERNELS,
     prepare_edge_arrays,
-    train_single_order,
+    train_order_segment,
 )
 from repro.errors import EmbeddingError
 from repro.graphs.projection import SimilarityGraph
@@ -52,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.parallel.executor import ParallelConfig
 
 __all__ = [
-    "KERNELS",
     "LineConfig",
     "LineEmbedding",
     "train_line",
@@ -80,13 +77,6 @@ class LineConfig:
             (the median-heuristic operating point: gamma * E[d^2] ~ 1).
             Ignored when ``normalize`` is False.
         seed: RNG seed.
-        kernel: Inner-loop backend — ``"segment"`` (default, fused
-            segment-reduction SGD) or ``"add_at"`` (the per-negative
-            ``np.add.at`` reference loop). For a fixed seed each kernel
-            is deterministic across serial/thread/process backends, but
-            the two kernels draw different random streams and so
-            produce different (equally valid) embeddings — see
-            ``docs/embedding-kernels.md``.
     """
 
     dimension: int = 32
@@ -98,7 +88,6 @@ class LineConfig:
     normalize: bool = True
     vector_scale: float = 4.0
     seed: int = 13
-    kernel: str = "segment"
 
     def validate(self) -> None:
         if self.dimension < 2:
@@ -125,10 +114,6 @@ class LineConfig:
         ):
             raise EmbeddingError(
                 f"seed must be an integer, got {type(self.seed).__name__}"
-            )
-        if self.kernel not in KERNELS:
-            raise EmbeddingError(
-                f"unknown kernel {self.kernel!r} (expected one of {KERNELS})"
             )
 
     def resolved_samples(self, edge_count: int) -> int:
@@ -187,53 +172,6 @@ class LineEmbedding:
         return out
 
 
-def _train_single_order(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    edge_sampler: AliasSampler,
-    noise_sampler: AliasSampler,
-    node_count: int,
-    dimension: int,
-    use_context: bool,
-    config: LineConfig,
-    rng: np.random.Generator,
-    total_samples: int,
-    progress: ProgressCallback | None = None,
-    epoch_offset: int = 0,
-    epoch_total: int = 0,
-) -> np.ndarray:
-    """Train one proximity order; returns the vertex embedding matrix.
-
-    ``use_context=True`` trains second-order proximity with separate
-    context vectors; ``False`` trains first-order with shared vectors.
-    Dispatches to the kernel named by ``config.kernel``
-    (:mod:`repro.embedding.kernels`); ``sources``/``targets`` and
-    ``edge_sampler`` must have been laid out for that kernel via
-    :func:`~repro.embedding.kernels.prepare_edge_arrays`.
-
-    When ``progress`` is given, the loop additionally tracks the running
-    negative-sampling loss and reports ``on_epoch`` about
-    ``_REPORTS_PER_ORDER`` times over the run (``epoch_offset`` /
-    ``epoch_total`` stitch the two runs of ``order="both"`` into one
-    sequence). With ``progress=None`` no loss terms are computed at all.
-    """
-    return train_single_order(
-        sources,
-        targets,
-        edge_sampler,
-        noise_sampler,
-        node_count,
-        dimension,
-        use_context,
-        config,
-        rng,
-        total_samples,
-        progress,
-        epoch_offset,
-        epoch_total,
-    )
-
-
 def _finalize_vectors(vectors: np.ndarray, config: LineConfig) -> np.ndarray:
     """Apply the ``normalize`` / ``vector_scale`` contract to raw output.
 
@@ -248,23 +186,13 @@ def _finalize_vectors(vectors: np.ndarray, config: LineConfig) -> np.ndarray:
     )
 
 
-def _record_training_metrics(
-    total_samples: int, elapsed: float, kernel: str = "segment"
-) -> None:
-    """Record one training run's ``line.*`` counters and throughput.
-
-    Throughput lands both in the kernel-agnostic ``line.edges_per_sec``
-    gauge (the long-standing dashboard key) and a per-backend
-    ``line.edges_per_sec.<kernel>`` gauge so comparison runs of the two
-    kernels stay distinguishable in one snapshot.
-    """
+def _record_training_metrics(total_samples: int, elapsed: float) -> None:
+    """Record one training run's ``line.*`` counters and throughput."""
     registry = default_registry()
     registry.counter("line.edges_sampled").inc(total_samples)
     registry.counter("line.trainings").inc()
     if elapsed > 0:
-        rate = total_samples / elapsed
-        registry.gauge("line.edges_per_sec").set(rate)
-        registry.gauge(f"line.edges_per_sec.{kernel}").set(rate)
+        registry.gauge("line.edges_per_sec").set(total_samples / elapsed)
 
 
 def train_line(
@@ -325,7 +253,7 @@ def train_line(
                                progress)[graph.kind]
 
     sources, targets, sample_weights = prepare_edge_arrays(
-        graph.rows, graph.cols, graph.weights, config.kernel
+        graph.rows, graph.cols, graph.weights
     )
     edge_sampler = AliasSampler(sample_weights)
     degrees = graph.degree_array()
@@ -335,7 +263,7 @@ def train_line(
     vectors = np.empty((graph.node_count, config.dimension))
     for task in tasks:
         vectors[:, task.column : task.column + task.dimension] = (
-            _train_single_order(
+            train_order_segment(
                 sources, targets, edge_sampler, noise_sampler,
                 graph.node_count, task.dimension, task.use_context, config,
                 np.random.default_rng(task.seed), task.total_samples,
@@ -343,9 +271,7 @@ def train_line(
             )
         )
     elapsed = time.perf_counter() - started
-    _record_training_metrics(
-        sum(t.total_samples for t in tasks), elapsed, config.kernel
-    )
+    _record_training_metrics(sum(t.total_samples for t in tasks), elapsed)
 
     return LineEmbedding(
         kind=graph.kind,

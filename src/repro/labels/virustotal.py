@@ -62,10 +62,6 @@ class VirusTotalReport:
     positives: int
     total_engines: int
 
-    @property
-    def detection_ratio(self) -> float:
-        return self.positives / self.total_engines if self.total_engines else 0.0
-
 
 class SimulatedVirusTotal:
     """Deterministic multi-engine verdict oracle over ground truth."""

@@ -5,22 +5,15 @@ C = 0.09 and kernel coefficient gamma = 0.06, whose decision rule is
 
     d(x) = sum_i a_i (2 y_i - 1) K(x_i, x) + b            (equation 7)
 
-Two LIBSVM-style solvers share the analytic two-variable update:
-
-* ``solver="cached"`` (default) — second-order working-set selection
-  (WSS2, Fan/Chen/Lin 2005), kernel rows computed on demand through an
-  LRU :class:`~repro.ml.kernels.KernelRowCache` under a configurable
-  ``kernel_cache_mb`` budget, periodic shrinking of bounded variables,
-  and a full-gradient reconstruction pass before the final optimality
-  check. Memory is O(cached_rows x n) instead of O(n^2).
-* ``solver="dense"`` — the reference implementation: maximal-violating
-  -pair selection over one precomputed Gram matrix. Kept selectable
-  (same precedent as the LINE ``add_at`` kernel) and decision-parity
-  -tested against the cached solver.
-
-Both emit ``svm.*`` metrics (fit seconds, cache hit ratio, shrink
-events) and warn with :class:`ConvergenceWarning` when the iteration
-budget runs out.
+The dual is solved LIBSVM-style: second-order working-set selection
+(WSS2, Fan/Chen/Lin 2005), kernel rows computed on demand through an
+LRU :class:`~repro.ml.kernels.KernelRowCache` under a configurable
+``kernel_cache_mb`` budget, periodic shrinking of bounded variables,
+and a full-gradient reconstruction pass before the final optimality
+check. Memory is O(cached_rows x n) instead of O(n^2). Fits emit
+``svm.*`` metrics (fit seconds, cache hit ratio, shrink events) and
+warn with :class:`ConvergenceWarning` when the iteration budget runs
+out.
 """
 
 from __future__ import annotations
@@ -37,9 +30,7 @@ from repro.obs.metrics import default_registry
 
 _TAU = 1e-12
 
-SOLVERS = ("cached", "dense")
-
-#: Default kernel-row cache budget (MiB) for the cached solver.
+#: Default kernel-row cache budget (MiB) for the solver.
 DEFAULT_CACHE_MB = 64.0
 
 
@@ -79,83 +70,6 @@ def _bias_from_alpha(
     if support.any():
         return float(np.mean(labels[support] - decision_without_bias[support]))
     return 0.0
-
-
-def _solve_smo(
-    kernel_matrix: np.ndarray,
-    labels: np.ndarray,
-    c: float,
-    tolerance: float,
-    max_iterations: int,
-) -> SmoResult:
-    """Reference dense solver: min 1/2 a^T Q a - e^T a, 0 <= a <= C, y^T a = 0.
-
-    Maximal-violating-pair selection over the full precomputed kernel
-    matrix. The gradient update multiplies the kernel column by the
-    label signs directly (sign flips are exact in IEEE float), so no
-    n x n sign matrix is ever allocated.
-    """
-    n = labels.size
-    alpha = np.zeros(n)
-    # gradient of the dual objective: G = Q a - e; starts at -e.
-    gradient = -np.ones(n)
-
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        # I_up: y=+1 & a<C, or y=-1 & a>0; I_low symmetric.
-        up_mask = ((labels > 0) & (alpha < c - _TAU)) | (
-            (labels < 0) & (alpha > _TAU)
-        )
-        low_mask = ((labels > 0) & (alpha > _TAU)) | (
-            (labels < 0) & (alpha < c - _TAU)
-        )
-        if not up_mask.any() or not low_mask.any():
-            converged = True
-            break
-        scores = -labels * gradient
-        up_scores = np.where(up_mask, scores, -np.inf)
-        low_scores = np.where(low_mask, scores, np.inf)
-        i = int(np.argmax(up_scores))
-        j = int(np.argmin(low_scores))
-        gap = up_scores[i] - low_scores[j]
-        if gap < tolerance:
-            converged = True
-            break
-
-        # Analytic update along the direction (alpha_i += y_i t,
-        # alpha_j -= y_j t), which keeps y^T alpha constant. The curvature
-        # along it is eta = K_ii + K_jj - 2 K_ij for either label pairing.
-        eta = max(
-            kernel_matrix[i, i] + kernel_matrix[j, j] - 2.0 * kernel_matrix[i, j],
-            _TAU,
-        )
-        delta = gap / eta
-
-        old_i, old_j = alpha[i], alpha[j]
-        if labels[i] > 0:
-            max_step_i = c - old_i
-        else:
-            max_step_i = old_i
-        if labels[j] > 0:
-            max_step_j = old_j
-        else:
-            max_step_j = c - old_j
-        step = min(delta, max_step_i, max_step_j)
-        alpha[i] = old_i + labels[i] * step
-        alpha[j] = old_j - labels[j] * step
-
-        # Incremental gradient update: G += Q[:, i] dai + Q[:, j] daj,
-        # with Q[:, t] = y y_t K[:, t].
-        delta_alpha_i = alpha[i] - old_i
-        delta_alpha_j = alpha[j] - old_j
-        gradient += labels * (labels[i] * delta_alpha_i) * kernel_matrix[:, i]
-        gradient += labels * (labels[j] * delta_alpha_j) * kernel_matrix[:, j]
-
-    decision_without_bias = (alpha * labels) @ kernel_matrix
-    bias = _bias_from_alpha(alpha, labels, decision_without_bias, c)
-    return SmoResult(alpha=alpha, bias=bias, iterations=iterations, converged=converged)
 
 
 def _weighted_kernel_block(
@@ -248,8 +162,8 @@ def _solve_smo_cached(
 ) -> SmoResult:
     """Cached-kernel shrinking SMO with second-order pair selection.
 
-    Per iteration: pick ``i`` maximizing the KKT violation over I_up
-    (as the dense solver does), then pick ``j`` minimizing the
+    Per iteration: pick ``i`` maximizing the KKT violation over I_up,
+    then pick ``j`` minimizing the
     second-order objective -b^2/a over eligible I_low members — which
     needs exactly one kernel row, served by the LRU cache. Every
     ``shrink_interval`` iterations bounded variables that can no longer
@@ -384,11 +298,8 @@ class SupportVectorClassifier:
     curves in section 8 are produced.
 
     Args:
-        solver: ``"cached"`` (default) — on-demand kernel rows with an
-            LRU cache, WSS2 selection, and shrinking; ``"dense"`` — the
-            full-Gram-matrix reference solver.
-        kernel_cache_mb: Kernel-row cache budget for the cached solver
-            (MiB); also bounds the block size of the reconstruction and
+        kernel_cache_mb: Kernel-row cache budget for the solver (MiB);
+            also bounds the block size of the reconstruction and
             bias passes.
     """
 
@@ -401,7 +312,6 @@ class SupportVectorClassifier:
         coef0: float = 1.0,
         tolerance: float = 1e-3,
         max_iterations: int = 200_000,
-        solver: str = "cached",
         kernel_cache_mb: float = DEFAULT_CACHE_MB,
     ) -> None:
         if c <= 0:
@@ -410,10 +320,6 @@ class SupportVectorClassifier:
             raise ValueError(f"unknown kernel {kernel!r}")
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if solver not in SOLVERS:
-            raise ValueError(
-                f"unknown solver {solver!r}; expected one of {SOLVERS}"
-            )
         if kernel_cache_mb <= 0:
             raise ValueError("kernel_cache_mb must be positive")
         self.c = c
@@ -423,7 +329,6 @@ class SupportVectorClassifier:
         self.coef0 = coef0
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.solver = solver
         self.kernel_cache_mb = kernel_cache_mb
         self._support_vectors: np.ndarray | None = None
         self._support_coefficients: np.ndarray | None = None
@@ -463,41 +368,32 @@ class SupportVectorClassifier:
         signed = np.where(labels == classes[1], 1.0, -1.0)
 
         started = time.perf_counter()
-        if self.solver == "dense":
-            kernel_matrix = self._kernel_function(features, features)
-            result = _solve_smo(
-                kernel_matrix, signed, self.c, self.tolerance, self.max_iterations
-            )
-        else:
-            result = _solve_smo_cached(
-                features,
-                signed,
-                self.c,
-                self.tolerance,
-                self.max_iterations,
-                self._kernel_params(),
-                cache_mb=self.kernel_cache_mb,
-            )
+        result = _solve_smo_cached(
+            features,
+            signed,
+            self.c,
+            self.tolerance,
+            self.max_iterations,
+            self._kernel_params(),
+            cache_mb=self.kernel_cache_mb,
+        )
         elapsed = time.perf_counter() - started
 
         self.iterations_ = result.iterations
         self.converged_ = result.converged
         self.shrink_events_ = result.shrink_events
         self.fit_seconds_ = elapsed
-        self.cache_hit_ratio_ = (
-            result.cache_hit_ratio if self.solver == "cached" else None
-        )
+        self.cache_hit_ratio_ = result.cache_hit_ratio
 
         registry = default_registry()
         registry.counter("svm.fits").inc()
         registry.histogram("svm.fit_seconds").observe(elapsed)
-        if self.solver == "cached":
-            registry.gauge("svm.cache_hit_ratio").set(result.cache_hit_ratio)
-            if result.shrink_events:
-                registry.counter("svm.shrink_events").inc(result.shrink_events)
+        registry.gauge("svm.cache_hit_ratio").set(result.cache_hit_ratio)
+        if result.shrink_events:
+            registry.counter("svm.shrink_events").inc(result.shrink_events)
         if not result.converged:
             warnings.warn(
-                f"SMO ({self.solver}) exhausted max_iterations="
+                f"SMO exhausted max_iterations="
                 f"{self.max_iterations} before reaching tolerance="
                 f"{self.tolerance}; the model may be underfit — raise "
                 "max_iterations or loosen tolerance",

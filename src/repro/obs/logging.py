@@ -84,10 +84,6 @@ class StructuredLogger:
         """A logger that adds ``fields`` to every subsequent line."""
         return StructuredLogger(self._logger, {**self._bound, **fields})
 
-    def is_enabled_for(self, level: int) -> bool:
-        """Whether a record at ``level`` would actually be emitted."""
-        return self._logger.isEnabledFor(level)
-
     def _log(self, level: int, event: str, fields: dict[str, Any]) -> None:
         if self._logger.isEnabledFor(level):
             merged = {**self._bound, **fields} if self._bound else fields

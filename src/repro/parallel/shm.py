@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from types import TracebackType
-from typing import Iterator
 
 import numpy as np
 
@@ -139,13 +138,3 @@ class _OpenedPack:
 def open_pack(spec: ArrayPackSpec) -> _OpenedPack:
     """Context manager yielding ``{name: array}`` views of a pack."""
     return _OpenedPack(spec)
-
-
-def iter_total_bytes(spec: ArrayPackSpec) -> Iterator[int]:
-    """Sizes of the packed arrays (for logging/metrics)."""
-    if spec.inline is not None:
-        for array in spec.inline.values():
-            yield array.nbytes
-    else:
-        for dtype, shape, __ in spec.layout.values():
-            yield int(np.dtype(dtype).itemsize * int(np.prod(shape or (1,))))

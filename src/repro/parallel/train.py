@@ -29,13 +29,12 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.embedding.alias import AliasSampler
-from repro.embedding.kernels import prepare_edge_arrays
+from repro.embedding.kernels import prepare_edge_arrays, train_order_segment
 from repro.embedding.line import (
     LineConfig,
     LineEmbedding,
     _finalize_vectors,
     _record_training_metrics,
-    _train_single_order,
     train_line,
 )
 from repro.errors import EmbeddingError
@@ -98,7 +97,7 @@ def _run_embedding_task(
         )
         rng = np.random.default_rng(task.seed)
         started = time.perf_counter()
-        vectors = _train_single_order(
+        vectors = train_order_segment(
             arrays["sources"],
             arrays["targets"],
             edge_sampler,
@@ -117,18 +116,16 @@ def _run_embedding_task(
     return task.task_id, vectors, elapsed
 
 
-def _view_arrays(
-    graph: SimilarityGraph, config: LineConfig
-) -> dict[str, np.ndarray]:
+def _view_arrays(graph: SimilarityGraph) -> dict[str, np.ndarray]:
     """The read-only arrays one view's tasks share (tables prebuilt).
 
-    The edge arrays and the edge alias table are laid out for
-    ``config.kernel`` (:func:`repro.embedding.kernels.prepare_edge_arrays`
-    — e.g. pre-doubled orientation for ``"segment"``) in the caller, so
-    workers train on exactly the bytes the serial path would use.
+    The edge arrays and the edge alias table are laid out by
+    :func:`repro.embedding.kernels.prepare_edge_arrays` (pre-doubled
+    orientation) in the caller, so workers train on exactly the bytes
+    the serial path would use.
     """
     sources, targets, sample_weights = prepare_edge_arrays(
-        graph.rows, graph.cols, graph.weights, config.kernel
+        graph.rows, graph.cols, graph.weights
     )
     edge_sampler = AliasSampler(sample_weights)
     degrees = graph.degree_array()
@@ -211,10 +208,10 @@ def _train_views_pooled(
             thread_shim = LockedProgress(progress)
 
     try:
-        for key, graph, config in views:
+        for key, graph, __ in views:
             if graph.edge_count > 0:
                 packs[key] = ArrayPack(
-                    _view_arrays(graph, config), use_shm=backend == "process"
+                    _view_arrays(graph), use_shm=backend == "process"
                 )
         ordered = schedule_order(tasks)
         payloads = [
@@ -274,7 +271,7 @@ def _train_views_pooled(
             vectors[:, task.column : task.column + task.dimension] = part
             view_seconds += elapsed
             view_samples += task.total_samples
-        _record_training_metrics(view_samples, view_seconds, config.kernel)
+        _record_training_metrics(view_samples, view_seconds)
         record_stage_observation(f"embedding.{key}", view_seconds)
         _log.debug(
             "view_embedded",

@@ -23,8 +23,9 @@ Design (leader/follower, no background thread):
 Because the flush receives the concatenation in arrival order and each
 caller gets back exactly its contiguous slice, micro-batched results
 are the same bytes a direct ``score_batch`` call over that
-concatenation would produce — batching changes latency shape, never
-scores.
+concatenation would produce. They may differ in the last bit from
+scoring one caller's request alone: the BLAS path of the decision
+function depends on the batch shape.
 
 The flush callable returns ``(context, results)`` where ``results`` has
 one entry per submitted domain; ``context`` rides along unchanged (the

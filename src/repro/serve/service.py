@@ -24,7 +24,8 @@ Operational guarantees:
   ``503`` instead of a stale answer;
 * with ``batch_window_seconds > 0`` concurrent small requests coalesce
   through a :class:`~repro.serve.batcher.MicroBatcher` into one
-  vectorized ``score_batch`` call (same bytes, better throughput);
+  vectorized ``score_batch`` call (the same bytes as one direct call
+  over the coalesced requests, better throughput);
 * failures degrade instead of cascading: scorer exceptions come back as
   structured JSON ``500`` bodies, reload failures retry with backoff
   and leave the last-good model serving, and a client that disconnects

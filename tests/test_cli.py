@@ -137,6 +137,22 @@ class TestChunkedIngestion:
         assert main([command, str(fresh_trace), "--resume"]) == 2
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["detect", "cluster"])
+    def test_refused_resume_exits_2(
+        self, command, fresh_trace, tmp_path, capsys
+    ):
+        # A checkpoint written under another configuration fails
+        # verification: one line on stderr, no traceback, exit 2.
+        args = [str(fresh_trace), "--chunk-records", "700",
+                "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(["detect", *args, "--dimension", "8"]) == 0
+        capsys.readouterr()
+        code = main([command, *args, "--dimension", "16", "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-dns {command}: checkpoint for stage")
+        assert err.count("\n") == 1
+
     def test_bad_chunk_records_exits_2(self, fresh_trace, capsys):
         code = main(["detect", str(fresh_trace), "--chunk-records", "0"])
         assert code == 2

@@ -1,29 +1,30 @@
-"""Tests for the LINE SGD kernels (repro.embedding.kernels).
+"""Tests for the LINE SGD kernel (repro.embedding.kernels).
 
 Two load-bearing contracts:
 
 * the segment scatter primitive is **bit-identical** to ``np.add.at``
   (duplicates accumulate in input order), which is what licenses
   swapping it into the training loop at all;
-* each kernel is deterministic across serial/thread/process backends —
-  the parallel determinism contract holds *per kernel*, not just for
-  the default.
+* the kernel is deterministic across serial/thread/process backends.
+
+The ``add_at`` cases train with the reference loop in
+``tests/oracles.py``, which must train every order just as the
+production kernel does.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.embedding.kernels import (
-    KERNELS,
-    prepare_edge_arrays,
-    segment_scatter_add,
-)
+from repro.embedding.kernels import prepare_edge_arrays, segment_scatter_add
 from repro.embedding.line import LineConfig, train_line
-from repro.errors import EmbeddingError
 from repro.parallel import ParallelConfig, fork_available
 
+from tests.oracles import train_line_add_at
 from tests.test_parallel import FAST, small_graph
+
+#: The production trainer and the reference loop, by kernel name.
+TRAINERS = {"segment": train_line, "add_at": train_line_add_at}
 
 
 @st.composite
@@ -90,21 +91,9 @@ class TestSegmentScatterAdd:
 
 
 class TestPrepareEdgeArrays:
-    def test_add_at_passthrough(self):
-        graph = small_graph()
-        src, dst, w = prepare_edge_arrays(
-            graph.rows, graph.cols, graph.weights, "add_at"
-        )
-        assert np.array_equal(src, graph.rows)
-        assert np.array_equal(dst, graph.cols)
-        assert np.array_equal(w, graph.weights)
-        assert w.dtype == np.float64
-
     def test_segment_doubles_orientation(self):
         graph = small_graph()
-        src, dst, w = prepare_edge_arrays(
-            graph.rows, graph.cols, graph.weights, "segment"
-        )
+        src, dst, w = prepare_edge_arrays(graph.rows, graph.cols, graph.weights)
         edges = graph.rows.size
         assert src.size == dst.size == w.size == 2 * edges
         # First half forward, second half reversed, weights repeated.
@@ -117,68 +106,48 @@ class TestPrepareEdgeArrays:
         # Small graphs fit int32 indices.
         assert src.dtype == np.int32 and dst.dtype == np.int32
 
-    def test_unknown_kernel_rejected(self):
-        graph = small_graph()
-        with pytest.raises(EmbeddingError, match="unknown kernel"):
-            prepare_edge_arrays(
-                graph.rows, graph.cols, graph.weights, "bogus"
-            )
-
 
 class TestKernelSelection:
-    def test_config_validates_kernel(self):
-        with pytest.raises(EmbeddingError, match="unknown kernel"):
-            LineConfig(kernel="fused9000").validate()
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_kernel_accepted(self, kernel):
-        LineConfig(kernel=kernel).validate()
-
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", list(TRAINERS))
     @pytest.mark.parametrize("order", ["first", "second", "both"])
     def test_trains_all_orders(self, kernel, order):
         config = LineConfig(
-            dimension=8, total_samples=4_000, seed=3, kernel=kernel, order=order
+            dimension=8, total_samples=4_000, seed=3, order=order
         )
-        embedding = train_line(small_graph(), config)
+        embedding = TRAINERS[kernel](small_graph(), config)
         assert embedding.vectors.shape == (20, 8)
         assert np.all(np.isfinite(embedding.vectors))
         assert np.any(embedding.vectors != 0.0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", list(TRAINERS))
     def test_same_seed_same_vectors(self, kernel):
-        config = LineConfig(
-            dimension=8, total_samples=10_000, seed=4, kernel=kernel
-        )
-        first = train_line(small_graph(), config).vectors
-        second = train_line(small_graph(), config).vectors
+        config = LineConfig(dimension=8, total_samples=10_000, seed=4)
+        first = TRAINERS[kernel](small_graph(), config).vectors
+        second = TRAINERS[kernel](small_graph(), config).vectors
         assert np.array_equal(first, second)
 
     def test_kernels_draw_distinct_streams(self):
-        # Documented non-goal: the two kernels are not bit-comparable —
-        # they consume randomness differently by design.
-        segment = train_line(
-            small_graph(), LineConfig(dimension=8, total_samples=10_000, seed=4)
-        ).vectors
-        add_at = train_line(
-            small_graph(),
-            LineConfig(
-                dimension=8, total_samples=10_000, seed=4, kernel="add_at"
-            ),
-        ).vectors
+        # Documented non-goal: the kernel and the reference loop are not
+        # bit-comparable — they consume randomness differently by design.
+        config = LineConfig(dimension=8, total_samples=10_000, seed=4)
+        segment = train_line(small_graph(), config).vectors
+        add_at = train_line_add_at(small_graph(), config).vectors
         assert not np.array_equal(segment, add_at)
 
 
 class TestPerKernelDeterminism:
-    """Serial/thread/process byte-identity holds for every kernel."""
+    """Serial/thread/process byte-identity of the production kernel.
 
-    @pytest.fixture(scope="class", params=KERNELS)
+    The reference loop has no parallel path, so ``segment`` is the only
+    parameter.
+    """
+
+    @pytest.fixture(scope="class", params=["segment"])
     def kernel_case(self, request):
         config = LineConfig(
             dimension=FAST.dimension,
             total_samples=FAST.total_samples,
             seed=FAST.seed,
-            kernel=request.param,
         )
         return config, train_line(small_graph(), config).vectors
 

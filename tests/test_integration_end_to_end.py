@@ -20,6 +20,8 @@ from repro import (
     expand_from_seeds,
 )
 from repro.core.clustering import DomainClusterer
+from repro.core.dataflow import line_config_for
+from repro.core.features import FeatureSpace
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
@@ -27,6 +29,8 @@ from repro.embedding.line import LineConfig
 from repro.ml import roc_auc_score
 from repro.netflow import NetflowSimulator, mine_cluster_patterns
 from repro.simulation.groundtruth import GroundTruth
+
+from tests.oracles import train_line_add_at
 
 # Full pipeline over a fresh trace: by far the slowest file in the
 # suite. The CI matrix deselects it (-m "not slow"); the bench job and
@@ -73,32 +77,32 @@ class TestEndToEnd:
         scores = detector.decision_scores(dataset.domains)
         assert roc_auc_score(dataset.labels, scores) > 0.85  # training fit
 
-    def test_segment_kernel_matches_add_at_quality(self, workspace, full_run):
+    def test_segment_kernel_matches_add_at_quality(self, full_run):
         """Downstream SVM AUC is kernel-independent (within SGD noise).
 
         The fused ``segment`` kernel draws a different random stream
-        than the ``add_at`` reference, so the embeddings differ vector
-        by vector — but the detection quality they support must not.
+        than the ``add_at`` reference loop, so the embeddings differ
+        vector by vector — but the detection quality they support must
+        not. The reference embeds the pipeline's own similarity graphs
+        with each view's LINE config and feeds the same classifier.
         """
-        queries, responses, dhcp, truth = workspace
-        detector, dataset, __, __, __ = full_run  # default: segment
-        reference = MaliciousDomainDetector(
-            PipelineConfig(
-                embedding=LineConfig(
-                    dimension=16,
-                    total_samples=150_000,
-                    seed=9,
-                    kernel="add_at",
+        detector, dataset, __, __, __ = full_run
+        config = detector.config
+        space = FeatureSpace(
+            **{
+                view.value: train_line_add_at(
+                    graph, line_config_for(config.embedding, view)
                 )
-            )
+                for view, graph in detector.similarity_graphs.items()
+            }
         )
-        reference.process(queries, responses, dhcp)
-        reference.fit(dataset)
+        features = space.matrix(dataset.domains, config.views)
+        reference = config.classifier.build().fit(features, dataset.labels)
         segment_auc = roc_auc_score(
             dataset.labels, detector.decision_scores(dataset.domains)
         )
         add_at_auc = roc_auc_score(
-            dataset.labels, reference.decision_scores(dataset.domains)
+            dataset.labels, reference.decision_function(features)
         )
         assert add_at_auc > 0.85
         assert abs(segment_auc - add_at_auc) < 0.05

@@ -1,5 +1,7 @@
 """Unit tests for artifact persistence (npz round-trips)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,20 @@ from repro.embedding.line import LineConfig, LineEmbedding
 from repro.errors import NotFittedError
 from repro.graphs.projection import SimilarityGraph
 from repro.ml.preprocessing import StandardScaler
+
+
+def _add_legacy_key(path, field, key, value):
+    """Rewrite the JSON sidecar ``field`` of an archive with one more key.
+
+    Reproduces archives written by older versions, whose configs carried
+    options that no longer exist.
+    """
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    payload = json.loads(str(arrays[field]))
+    payload[key] = value
+    arrays[field] = np.array(json.dumps(payload))
+    np.savez_compressed(path, **arrays)
 
 
 @pytest.fixture()
@@ -48,11 +64,16 @@ class TestEmbeddingRoundTrip:
     def test_round_trip(self, embedding, tmp_path):
         path = tmp_path / "embedding.npz"
         save_embedding(embedding, path)
-        loaded = load_embedding(path)
-        assert loaded.kind == embedding.kind
-        assert loaded.domains == embedding.domains
-        assert np.allclose(loaded.vectors, embedding.vectors)
-        assert loaded.config == embedding.config
+        # Second pass: an archive written while the LINE inner loop was
+        # selectable, whose config carries a "kernel" key.
+        for legacy in (None, ("kernel", "add_at")):
+            if legacy is not None:
+                _add_legacy_key(path, "config_json", *legacy)
+            loaded = load_embedding(path)
+            assert loaded.kind == embedding.kind
+            assert loaded.domains == embedding.domains
+            assert np.allclose(loaded.vectors, embedding.vectors)
+            assert loaded.config == embedding.config
 
     def test_lookup_works_after_load(self, embedding, tmp_path):
         path = tmp_path / "embedding.npz"
@@ -107,15 +128,22 @@ class TestClassifierRoundTrip:
         classifier, __ = fitted
         path = tmp_path / "classifier.npz"
         save_classifier(classifier, path)
-        loaded = load_classifier(path)
         probe = rng.normal(size=(12, 5))
-        # Not allclose: the kernel expansion over bit-equal float64
-        # support vectors must reproduce scores exactly.
-        assert np.array_equal(
-            loaded.decision_function(probe),
-            classifier.decision_function(probe),
-        )
-        assert np.array_equal(loaded.predict(probe), classifier.predict(probe))
+        # Second pass: an archive written while the SMO solver was
+        # selectable, whose params carry a "solver" key.
+        for legacy in (None, ("solver", "dense")):
+            if legacy is not None:
+                _add_legacy_key(path, "params_json", *legacy)
+            loaded = load_classifier(path)
+            # Not allclose: the kernel expansion over bit-equal float64
+            # support vectors must reproduce scores exactly.
+            assert np.array_equal(
+                loaded.decision_function(probe),
+                classifier.decision_function(probe),
+            )
+            assert np.array_equal(
+                loaded.predict(probe), classifier.predict(probe)
+            )
 
     def test_calibrated_threshold_preserved(self, fitted, tmp_path):
         classifier, __ = fitted

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ml.kernels import rbf_kernel
-from repro.ml.svm import SupportVectorClassifier, _solve_smo
+from repro.ml.kernels import KernelParams, rbf_kernel
+from repro.ml.svm import SupportVectorClassifier, _solve_smo_cached
 
 
 @pytest.fixture(scope="module")
 def solved():
+    """The production solver's dual solution on two Gaussian blobs."""
     rng = np.random.default_rng(4)
     n = 80
     features = np.vstack(
@@ -17,8 +18,10 @@ def solved():
     labels = np.where(np.arange(2 * n) < n, -1.0, 1.0)
     c = 0.5
     kernel = rbf_kernel(features, features, gamma=0.8)
-    result = _solve_smo(kernel, labels, c=c, tolerance=1e-4,
-                        max_iterations=100_000)
+    result = _solve_smo_cached(
+        features, labels, c=c, tolerance=1e-4, max_iterations=100_000,
+        params=KernelParams(kind="rbf", gamma=0.8),
+    )
     return features, labels, c, kernel, result
 
 

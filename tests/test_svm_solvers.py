@@ -1,4 +1,4 @@
-"""Equivalence and behavior of the cached vs dense SMO solvers."""
+"""The row-cached SMO solver: parity with the dense oracle, and behavior."""
 
 import warnings
 
@@ -14,8 +14,11 @@ from repro.ml.svm import (
     _solve_smo_cached,
 )
 
-# Tight tolerance so both solvers land on the (decision-function-unique)
-# optimum; the parity bound below is then meaningful at 1e-6.
+from tests.oracles import DenseSvm
+
+# Tight tolerance so the solver and the dense oracle land on the
+# (decision-function-unique) optimum; the parity bound below is then
+# meaningful at 1e-6.
 PARITY = dict(tolerance=1e-8, max_iterations=500_000)
 
 
@@ -32,12 +35,8 @@ def _dataset(seed: int, n: int = 80, dims: int = 5):
 
 def _fit_pair(features, labels, **kwargs):
     params = {**PARITY, **kwargs}
-    dense = SupportVectorClassifier(solver="dense", **params).fit(
-        features, labels
-    )
-    cached = SupportVectorClassifier(solver="cached", **params).fit(
-        features, labels
-    )
+    dense = DenseSvm(**params).fit(features, labels)
+    cached = SupportVectorClassifier(**params).fit(features, labels)
     return dense, cached
 
 
@@ -79,12 +78,10 @@ class TestSolverParity:
         # Budget admits only the 2-row minimum: every iteration recomputes.
         features, labels = _dataset(seed=7, n=70)
         params = dict(c=1.0, gamma=0.2, **PARITY)
-        dense = SupportVectorClassifier(solver="dense", **params).fit(
+        dense = DenseSvm(**params).fit(features, labels)
+        cached = SupportVectorClassifier(kernel_cache_mb=1e-6, **params).fit(
             features, labels
         )
-        cached = SupportVectorClassifier(
-            solver="cached", kernel_cache_mb=1e-6, **params
-        ).fit(features, labels)
         np.testing.assert_allclose(
             dense.decision_function(features),
             cached.decision_function(features),
@@ -113,13 +110,15 @@ class TestSolverParity:
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("solver", ["dense", "cached"])
-    def test_single_class_rejected(self, solver):
+    @pytest.mark.parametrize(
+        "model", [DenseSvm, SupportVectorClassifier], ids=["dense", "cached"]
+    )
+    def test_single_class_rejected(self, model):
+        # The oracle rejects what the solver rejects, so parity cases
+        # never compare a fit against an error.
         features = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(ValueError, match="2 classes"):
-            SupportVectorClassifier(solver=solver).fit(
-                features, np.zeros(10, dtype=int)
-            )
+            model().fit(features, np.zeros(10, dtype=int))
 
     def test_all_bounded_alphas_parity(self):
         # A tiny C drives every alpha to its box bound — the bias must
@@ -154,7 +153,7 @@ class TestDegenerateInputs:
         features = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 1, 0, 1])
         model = SupportVectorClassifier(
-            solver="cached", c=1.0, tolerance=1e-3, max_iterations=10_000
+            c=1.0, tolerance=1e-3, max_iterations=10_000
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
@@ -166,45 +165,29 @@ class TestConvergenceWarning:
     def test_tiny_budget_warns_and_flags(self):
         features, labels = _dataset(seed=17, n=60)
         with pytest.warns(ConvergenceWarning, match="max_iterations"):
-            model = SupportVectorClassifier(
-                solver="cached", c=1.0, max_iterations=3
-            ).fit(features, labels)
-        assert model.converged_ is False
-
-    def test_dense_solver_warns_too(self):
-        features, labels = _dataset(seed=17, n=60)
-        with pytest.warns(ConvergenceWarning):
-            model = SupportVectorClassifier(
-                solver="dense", c=1.0, max_iterations=3
-            ).fit(features, labels)
+            model = SupportVectorClassifier(c=1.0, max_iterations=3).fit(
+                features, labels
+            )
         assert model.converged_ is False
 
     def test_normal_fit_does_not_warn(self):
         features, labels = _dataset(seed=19, n=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            model = SupportVectorClassifier(solver="cached", c=1.0).fit(
-                features, labels
-            )
+            model = SupportVectorClassifier(c=1.0).fit(features, labels)
         assert model.converged_ is True
 
 
 class TestSolverConfig:
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="solver"):
-            SupportVectorClassifier(solver="turbo")
-
     def test_nonpositive_cache_rejected(self):
         with pytest.raises(ValueError, match="kernel_cache_mb"):
             SupportVectorClassifier(kernel_cache_mb=0.0)
 
     def test_fit_telemetry_attributes(self):
         features, labels = _dataset(seed=23, n=50)
-        cached = SupportVectorClassifier(solver="cached").fit(features, labels)
+        cached = SupportVectorClassifier().fit(features, labels)
         assert cached.fit_seconds_ is not None and cached.fit_seconds_ > 0
         assert 0.0 <= cached.cache_hit_ratio_ <= 1.0
-        dense = SupportVectorClassifier(solver="dense").fit(features, labels)
-        assert dense.cache_hit_ratio_ is None
 
 
 class TestKernelRowCache:
