@@ -191,7 +191,7 @@ _INGEST_RSS_CHILD = """
 import os, resource, sys
 sys.path[:0] = {sys_path!r}
 from repro.dns.dhcp import DhcpLog, HostIdentityResolver
-from repro.graphs.bipartite import BipartiteGraph, fold_records_into_graphs
+from repro.graphs.bipartite import BipartiteGraph, fold_columns_into_graphs
 from repro.graphs.core import VertexTable
 from repro.ingest import ChunkPolicy, ChunkedTraceReader
 
@@ -215,8 +215,8 @@ with ChunkedTraceReader(
     {trace_dir!r} + "/dns.log", ChunkPolicy(max_records={chunk_records})
 ) as reader:
     for batch in reader:
-        fold_records_into_graphs(
-            batch.records, *graphs, identity=identity, window_seconds=60.0
+        fold_columns_into_graphs(
+            batch.columns, *graphs, identity=identity, window_seconds=60.0
         )
         peak = max(peak, rss_bytes())
 print(peak / (1024.0 * 1024.0))

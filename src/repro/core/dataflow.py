@@ -230,7 +230,7 @@ def load_shared_graphs(directory: Path) -> GraphTriple:
     The graphs were built over a single domain interner; persistence
     writes each graph's (identical) copy of it, so the loader restores
     one authoritative table and rebinds the other two graphs to it —
-    ``fold_records_into_graphs`` requires that identity on resume.
+    ``fold_columns_into_graphs`` requires that identity on resume.
     """
     host, ip_graph, time_graph = (
         load_bipartite_graph(directory / name) for name in GRAPH_FILES

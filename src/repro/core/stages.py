@@ -150,10 +150,6 @@ class ArtifactStore:
     def has(self, key: ArtifactKey[T]) -> bool:
         return key.name in self._artifacts
 
-    def discard(self, key: ArtifactKey[T]) -> None:
-        """Drop the artifact under ``key`` if present."""
-        self._artifacts.pop(key.name, None)
-
     def names(self) -> tuple[str, ...]:
         """Names of every artifact currently in the store."""
         return tuple(self._artifacts)

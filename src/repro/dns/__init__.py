@@ -23,6 +23,7 @@ from repro.dns.psl import PublicSuffixList, default_psl
 from repro.dns.logfmt import (
     DnsTraceReader,
     DnsTraceWriter,
+    TraceColumns,
     format_query,
     format_response,
     parse_query,
@@ -41,6 +42,7 @@ __all__ = [
     "PublicSuffixList",
     "QueryType",
     "ResourceRecord",
+    "TraceColumns",
     "default_psl",
     "format_query",
     "format_response",

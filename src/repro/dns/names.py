@@ -10,8 +10,12 @@ the public suffix list in :mod:`repro.dns.psl`.
 from __future__ import annotations
 
 import string
+from typing import TYPE_CHECKING
 
 from repro.errors import DomainNameError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dns.psl import PublicSuffixList
 
 _LABEL_CHARS = frozenset(string.ascii_lowercase + string.digits + "-_")
 MAX_NAME_LENGTH = 253
@@ -58,7 +62,7 @@ def is_valid_domain_name(name: str) -> bool:
     return True
 
 
-def registered_domain(name: str, psl=None) -> str:
+def registered_domain(name: str, psl: PublicSuffixList | None = None) -> str:
     """Return the effective second-level domain (e2LD) of ``name``.
 
     The e2LD is the public suffix plus one label, e.g. ``maps.google.com``

@@ -14,7 +14,7 @@ from repro.graphs.bipartite import (
     build_domain_time_graph,
     build_host_domain_graph,
     build_query_graphs,
-    fold_records_into_graphs,
+    fold_columns_into_graphs,
 )
 from repro.graphs.core import EdgeList, VertexTable
 from repro.graphs.pruning import PruningReport, PruningRules, prune_graphs
@@ -42,7 +42,7 @@ __all__ = [
     "build_domain_time_graph",
     "build_host_domain_graph",
     "build_query_graphs",
-    "fold_records_into_graphs",
+    "fold_columns_into_graphs",
     "project_to_similarity",
     "prune_graphs",
 ]

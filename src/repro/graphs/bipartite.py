@@ -22,9 +22,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.dns.dhcp import HostIdentityResolver
+from repro.dns.logfmt import TraceColumns
 from repro.dns.names import is_valid_domain_name
 from repro.dns.psl import PublicSuffixList, default_psl
-from repro.dns.types import DnsQuery, DnsResponse, QueryType
+from repro.dns.types import DnsQuery, DnsResponse
 from repro.errors import DomainNameError, GraphConstructionError
 from repro.graphs.core import EdgeList, VertexTable
 
@@ -32,8 +33,6 @@ DEFAULT_TIME_WINDOW_SECONDS = 60.0  # the paper's one-minute windows
 
 #: Cache sentinel for "qname seen, not aggregatable" (ids are >= 0).
 _NO_DOMAIN = -1
-#: Answer records that carry a resolved address.
-_ADDRESS_RTYPES = (QueryType.A, QueryType.AAAA)
 
 
 class AdjacencyView(Mapping):
@@ -333,58 +332,111 @@ def _intern_column(values: list, table: VertexTable) -> np.ndarray:
     )
 
 
-def _accumulate_query_graphs(
-    queries: Iterable[DnsQuery],
+def fold_columns_into_graphs(
+    columns: TraceColumns,
+    host_graph: BipartiteGraph | None,
+    domain_ip: BipartiteGraph | None,
+    domain_time: BipartiteGraph | None,
+    identity: HostIdentityResolver | None = None,
+    window_seconds: float = DEFAULT_TIME_WINDOW_SECONDS,
+    psl: PublicSuffixList | None = None,
+) -> int:
+    """Fold one batch of trace columns into existing bipartite graphs.
+
+    The one graph fold: chunked ingestion hands it each
+    :class:`~repro.dns.logfmt.TraceColumns` batch the reader parsed, and
+    the ``build_*`` helpers hand it the columns of their record lists.
+    Query names, hosts and addresses are dict-factorized (PSL walk and
+    interning once per distinct value), time windows are interned in
+    sorted order, and each graph gets one bulk ``extend_raw``.
+    Deduplication is deferred — edges accumulate raw and the next
+    structural query (or an explicit ``compact()``) folds them, so a
+    million-record batch pays one bulk append per graph, not a hash
+    probe per record.
+
+    A graph passed as ``None`` is not built. The others must share one
+    left (domain) :class:`VertexTable`, mirroring how the pipeline
+    threads a single domain interner through all views. Domains are
+    interned from query names first, then from answer names, so a
+    batch's domain ids follow first occurrence in that order. Returns
+    the number of records the columns cover.
+    """
+    if window_seconds <= 0:
+        raise GraphConstructionError("window_seconds must be positive")
+    graphs = [g for g in (host_graph, domain_ip, domain_time) if g is not None]
+    if not graphs:
+        return len(columns)
+    domains = graphs[0].left
+    if any(graph.left is not domains for graph in graphs):
+        raise GraphConstructionError(
+            "fold_columns_into_graphs needs graphs sharing one domain table"
+        )
+    if psl is None:
+        psl = default_psl()
+
+    qnames = columns.query_qnames
+    if qnames and (host_graph is not None or domain_time is not None):
+        dids = _intern_qnames(qnames, psl, domains)
+        valid = dids >= 0
+        if host_graph is not None:
+            hosts: list[Hashable]
+            if identity is not None:
+                resolve = identity.resolve_or_ip
+                hosts = [
+                    resolve(source, stamp)
+                    for source, stamp in zip(
+                        columns.query_sources, columns.query_stamps
+                    )
+                ]
+            else:
+                hosts = list(columns.query_sources)
+            hids = _intern_column(hosts, host_graph.right)
+            host_graph.edges.extend_raw(dids[valid], hids[valid])
+        if domain_time is not None:
+            stamps = np.asarray(columns.query_stamps, dtype=np.float64)
+            windows = np.floor_divide(stamps, window_seconds).astype(np.int64)
+            intern_window = domain_time.right.intern
+            unique, inverse = np.unique(windows, return_inverse=True)
+            per_unique = np.fromiter(
+                (intern_window(int(w)) for w in unique),
+                dtype=np.int64,
+                count=unique.size,
+            )
+            wids = per_unique[inverse]
+            domain_time.edges.extend_raw(dids[valid], wids[valid])
+
+    if columns.answer_qnames and domain_ip is not None:
+        answer_dids = _intern_qnames(columns.answer_qnames, psl, domains)
+        iids = _intern_column(columns.answer_values, domain_ip.right)
+        valid = answer_dids >= 0
+        domain_ip.edges.extend_raw(answer_dids[valid], iids[valid])
+    return len(columns)
+
+
+def _build_graphs(
+    records: Iterable[DnsQuery | DnsResponse],
+    kinds: tuple[str, ...],
     identity: HostIdentityResolver | None,
     window_seconds: float,
-    psl: PublicSuffixList,
-    domains: VertexTable,
-    want_host: bool,
-    want_time: bool,
-) -> tuple[BipartiteGraph, BipartiteGraph]:
-    """Columnar build of the host and/or time graphs from ``queries``.
-
-    Instead of a per-record Python loop, each field is pulled into a
-    column, qnames/hosts/windows are factorized with ``np.unique`` (so
-    PSL aggregation and interning run once per distinct value), and the
-    edge arrays land in one bulk extend + vectorized dedup per graph.
-    Record order is preserved, so first-occurrence semantics (and hence
-    ``graph.domains`` ordering) match the incremental path.
-    """
-    if not isinstance(queries, list):
-        queries = list(queries)
-    host_graph = BipartiteGraph(kind="host", left=domains)
-    time_graph = BipartiteGraph(kind="time", left=domains)
-    dids = _intern_qnames([q.qname for q in queries], psl, domains)
-    valid = dids >= 0
-    if want_host:
-        if identity is not None:
-            resolve = identity.resolve_or_ip
-            hosts: list[Hashable] = [
-                resolve(q.source_ip, q.timestamp) for q in queries
-            ]
-        else:
-            hosts = [q.source_ip for q in queries]
-        hids = _intern_column(hosts, host_graph.right)
-        host_graph.edges.extend_raw(dids[valid], hids[valid])
-        host_graph.edges.compact()
-    if want_time:
-        stamps = np.fromiter(
-            (q.timestamp for q in queries), dtype=np.float64,
-            count=len(queries),
-        )
-        windows = np.floor_divide(stamps, window_seconds).astype(np.int64)
-        intern_window = time_graph.right.intern
-        unique, inverse = np.unique(windows, return_inverse=True)
-        per_unique = np.fromiter(
-            (intern_window(int(w)) for w in unique),
-            dtype=np.int64,
-            count=unique.size,
-        )
-        wids = per_unique[inverse]
-        time_graph.edges.extend_raw(dids[valid], wids[valid])
-        time_graph.edges.compact()
-    return host_graph, time_graph
+    psl: PublicSuffixList | None,
+    domains: VertexTable | None,
+) -> dict[str, BipartiteGraph]:
+    """Compacted graphs of the given ``kinds``, folded from ``records``."""
+    if domains is None:
+        domains = VertexTable()
+    graphs = {kind: BipartiteGraph(kind=kind, left=domains) for kind in kinds}
+    fold_columns_into_graphs(
+        TraceColumns.from_records(records),
+        graphs.get("host"),
+        graphs.get("ip"),
+        graphs.get("time"),
+        identity=identity,
+        window_seconds=window_seconds,
+        psl=psl,
+    )
+    for graph in graphs.values():
+        graph.edges.compact()
+    return graphs
 
 
 def build_query_graphs(
@@ -401,16 +453,10 @@ def build_query_graphs(
     ``domains`` interner, halving the per-record work compared to
     calling the two single-graph builders separately.
     """
-    if window_seconds <= 0:
-        raise GraphConstructionError("window_seconds must be positive")
-    if psl is None:
-        psl = default_psl()
-    if domains is None:
-        domains = VertexTable()
-    return _accumulate_query_graphs(
-        queries, identity, window_seconds, psl, domains,
-        want_host=True, want_time=True,
+    graphs = _build_graphs(
+        queries, ("host", "time"), identity, window_seconds, psl, domains
     )
+    return graphs["host"], graphs["time"]
 
 
 def build_host_domain_graph(
@@ -427,15 +473,10 @@ def build_host_domain_graph(
     identified by MAC address (stable under IP churn); otherwise by source
     IP.
     """
-    if psl is None:
-        psl = default_psl()
-    if domains is None:
-        domains = VertexTable()
-    host_graph, __ = _accumulate_query_graphs(
-        queries, identity, DEFAULT_TIME_WINDOW_SECONDS, psl, domains,
-        want_host=True, want_time=False,
-    )
-    return host_graph
+    return _build_graphs(
+        queries, ("host",), identity, DEFAULT_TIME_WINDOW_SECONDS, psl,
+        domains,
+    )["host"]
 
 
 def build_domain_ip_graph(
@@ -449,118 +490,9 @@ def build_domain_ip_graph(
     An edge (d, ip) exists when some hostname of domain d resolved to ip.
     NXDOMAIN responses contribute nothing.
     """
-    if psl is None:
-        psl = default_psl()
-    if domains is None:
-        domains = VertexTable()
-    graph = BipartiteGraph(kind="ip", left=domains)
-    qnames: list[str] = []
-    ips: list[str] = []
-    append_qname = qnames.append
-    append_ip = ips.append
-    for response in responses:
-        if response.nxdomain:
-            continue
-        name = response.qname
-        for rr in response.answers:
-            if rr.rtype in _ADDRESS_RTYPES:
-                append_qname(name)
-                append_ip(rr.value)
-    dids = _intern_qnames(qnames, psl, domains)
-    iids = _intern_column(ips, graph.right)
-    valid = dids >= 0
-    graph.edges.extend_raw(dids[valid], iids[valid])
-    graph.edges.compact()
-    return graph
-
-
-def fold_records_into_graphs(
-    records: Iterable[DnsQuery | DnsResponse],
-    host_graph: BipartiteGraph,
-    domain_ip: BipartiteGraph,
-    domain_time: BipartiteGraph,
-    identity: HostIdentityResolver | None = None,
-    window_seconds: float = DEFAULT_TIME_WINDOW_SECONDS,
-    psl: PublicSuffixList | None = None,
-) -> int:
-    """Fold one mixed record batch into three existing bipartite graphs.
-
-    The chunked-ingestion fast path: instead of materializing a whole
-    trace, callers hand bounded batches of interleaved queries and
-    responses and the edges land through the same vectorized
-    ``_intern_qnames`` / ``extend_raw`` route the monolithic builders
-    use. Deduplication is deferred — edges accumulate raw and the next
-    structural query (or an explicit ``compact()``) folds them, so a
-    million-record batch pays one bulk append per graph, not a hash
-    probe per record.
-
-    All three graphs must share one left (domain) :class:`VertexTable`,
-    mirroring how the pipeline threads a single domain interner through
-    all views. Returns the number of records consumed.
-    """
-    if window_seconds <= 0:
-        raise GraphConstructionError("window_seconds must be positive")
-    if (
-        host_graph.left is not domain_ip.left
-        or host_graph.left is not domain_time.left
-    ):
-        raise GraphConstructionError(
-            "fold_records_into_graphs needs graphs sharing one domain table"
-        )
-    if psl is None:
-        psl = default_psl()
-    domains = host_graph.left
-
-    query_qnames: list[str] = []
-    query_sources: list[str] = []
-    query_stamps: list[float] = []
-    answer_qnames: list[str] = []
-    answer_ips: list[str] = []
-    count = 0
-    for record in records:
-        count += 1
-        if isinstance(record, DnsQuery):
-            query_qnames.append(record.qname)
-            query_sources.append(record.source_ip)
-            query_stamps.append(record.timestamp)
-        elif isinstance(record, DnsResponse) and not record.nxdomain:
-            name = record.qname
-            for rr in record.answers:
-                if rr.rtype in _ADDRESS_RTYPES:
-                    answer_qnames.append(name)
-                    answer_ips.append(rr.value)
-
-    if query_qnames:
-        dids = _intern_qnames(query_qnames, psl, domains)
-        valid = dids >= 0
-        if identity is not None:
-            resolve = identity.resolve_or_ip
-            hosts: list[Hashable] = [
-                resolve(source, stamp)
-                for source, stamp in zip(query_sources, query_stamps)
-            ]
-        else:
-            hosts = list(query_sources)
-        hids = _intern_column(hosts, host_graph.right)
-        host_graph.edges.extend_raw(dids[valid], hids[valid])
-        stamps = np.asarray(query_stamps, dtype=np.float64)
-        windows = np.floor_divide(stamps, window_seconds).astype(np.int64)
-        intern_window = domain_time.right.intern
-        unique, inverse = np.unique(windows, return_inverse=True)
-        per_unique = np.fromiter(
-            (intern_window(int(w)) for w in unique),
-            dtype=np.int64,
-            count=unique.size,
-        )
-        wids = per_unique[inverse]
-        domain_time.edges.extend_raw(dids[valid], wids[valid])
-
-    if answer_qnames:
-        response_dids = _intern_qnames(answer_qnames, psl, domains)
-        iids = _intern_column(answer_ips, domain_ip.right)
-        valid = response_dids >= 0
-        domain_ip.edges.extend_raw(response_dids[valid], iids[valid])
-    return count
+    return _build_graphs(
+        responses, ("ip",), None, DEFAULT_TIME_WINDOW_SECONDS, psl, domains
+    )["ip"]
 
 
 def build_domain_time_graph(
@@ -575,14 +507,6 @@ def build_domain_time_graph(
     An edge (d, t) exists when domain d was queried at least once during
     time window t. The paper's window is one minute.
     """
-    if window_seconds <= 0:
-        raise GraphConstructionError("window_seconds must be positive")
-    if psl is None:
-        psl = default_psl()
-    if domains is None:
-        domains = VertexTable()
-    __, time_graph = _accumulate_query_graphs(
-        queries, None, window_seconds, psl, domains,
-        want_host=False, want_time=True,
-    )
-    return time_graph
+    return _build_graphs(
+        queries, ("time",), None, window_seconds, psl, domains
+    )["time"]

@@ -9,6 +9,9 @@ module turns any trace source into a stream of bounded
 * chunks are bounded by **record count** (``max_records``) and, when
   configured, by **trace-time span** (``max_seconds``) — a quiet
   overnight hour and a 9am burst both land in right-sized batches;
+* each chunk is parsed straight into the
+  :class:`~repro.dns.logfmt.TraceColumns` the graph fold reads — no
+  per-record objects are built on this path;
 * the reader maintains a **monotone cursor** (records consumed since the
   start of the trace), which is what stage checkpoints persist — a
   resumed run skips exactly ``cursor`` records (cheaply, without
@@ -22,17 +25,14 @@ See ``docs/ingestion.md`` for the full chunking model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import Iterator, TextIO
 
-from repro.dns.logfmt import DnsTraceReader, TraceRecordIterator
+from repro.dns.logfmt import DnsTraceReader, TraceColumns, TraceRecordIterator
 from repro.errors import IngestError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import default_registry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dns.types import DnsQuery, DnsResponse
 
 __all__ = ["ChunkPolicy", "RecordBatch", "ChunkedTraceReader"]
 
@@ -68,28 +68,35 @@ class ChunkPolicy:
 
 @dataclass(slots=True)
 class RecordBatch:
-    """One bounded batch of interleaved trace records.
+    """One bounded batch of interleaved trace records, as columns.
 
     Attributes:
         index: Zero-based chunk sequence number.
-        records: The parsed records, in capture order.
+        columns: The batch's records, parsed into the columns the graph
+            fold reads, in capture order.
         start_record: Cursor value *before* this batch (records consumed
             by all earlier batches, including skipped ones on resume).
         end_record: Cursor value after this batch — what a checkpoint
             taken at this boundary persists.
-        min_timestamp / max_timestamp: Trace-time span of the batch
-            (both 0.0 for an empty trace).
     """
 
     index: int
-    records: list["DnsQuery | DnsResponse"] = field(default_factory=list)
+    columns: TraceColumns
     start_record: int = 0
     end_record: int = 0
-    min_timestamp: float = 0.0
-    max_timestamp: float = 0.0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
+
+    @property
+    def min_timestamp(self) -> float:
+        """Earliest record timestamp in the batch."""
+        return self.columns.min_timestamp
+
+    @property
+    def max_timestamp(self) -> float:
+        """Latest record timestamp in the batch."""
+        return self.columns.max_timestamp
 
 
 class ChunkedTraceReader:
@@ -177,45 +184,21 @@ class ChunkedTraceReader:
         registry = default_registry()
         records_counter = registry.counter("ingest.records")
         chunks_counter = registry.counter("ingest.chunks")
-        pending: "DnsQuery | DnsResponse | None" = None
         while True:
-            batch = RecordBatch(
-                index=self._chunk_index, start_record=self._cursor
+            columns = self._records.read_columns(
+                policy.max_records, policy.max_seconds
             )
-            append = batch.records.append
-            first_stamp: float | None = None
-            min_stamp = 0.0
-            max_stamp = 0.0
-            while len(batch.records) < policy.max_records:
-                if pending is not None:
-                    record, pending = pending, None
-                else:
-                    try:
-                        record = next(self._records)
-                    except StopIteration:
-                        break
-                stamp = record.timestamp
-                if first_stamp is None:
-                    first_stamp = min_stamp = max_stamp = stamp
-                elif (
-                    policy.max_seconds is not None
-                    and stamp - first_stamp >= policy.max_seconds
-                ):
-                    # Time bound hit: this record opens the next chunk.
-                    pending = record
-                    break
-                else:
-                    min_stamp = min(min_stamp, stamp)
-                    max_stamp = max(max_stamp, stamp)
-                append(record)
-                self._cursor += 1
-            if not batch.records:
+            if not columns:
                 self.close()
                 return
-            batch.end_record = self._cursor
-            batch.min_timestamp = min_stamp
-            batch.max_timestamp = max_stamp
+            batch = RecordBatch(
+                index=self._chunk_index,
+                columns=columns,
+                start_record=self._cursor,
+                end_record=self._cursor + len(columns),
+            )
+            self._cursor = batch.end_record
             self._chunk_index += 1
-            records_counter.inc(len(batch.records))
+            records_counter.inc(len(columns))
             chunks_counter.inc()
             yield batch

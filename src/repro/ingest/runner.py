@@ -68,7 +68,7 @@ from repro.core.stages import (
 )
 from repro.dns.dhcp import DhcpLog, HostIdentityResolver
 from repro.errors import IngestError
-from repro.graphs.bipartite import BipartiteGraph, fold_records_into_graphs
+from repro.graphs.bipartite import BipartiteGraph, fold_columns_into_graphs
 from repro.graphs.core import VertexTable
 from repro.ingest.checkpoint import PipelineCheckpointer
 from repro.ingest.chunking import ChunkedTraceReader, ChunkPolicy
@@ -193,8 +193,8 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
             self.trace, self.chunk, start_record=cursor
         ) as reader:
             for batch in reader:
-                fold_records_into_graphs(
-                    batch.records,
+                fold_columns_into_graphs(
+                    batch.columns,
                     host,
                     ip_graph,
                     time_graph,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dns.logfmt import DnsTraceWriter
+from repro.dns.logfmt import DnsTraceWriter, TraceColumns
 from repro.dns.types import DnsQuery, DnsResponse, QueryType, ResourceRecord
 from repro.errors import IngestError
 from repro.ingest import ChunkedTraceReader, ChunkPolicy
@@ -74,8 +74,9 @@ class TestChunking:
                 _trace_stream(records), ChunkPolicy(max_records=3)
             )
         )
-        recombined = [r for b in batches for r in b.records]
-        assert recombined == records
+        assert [b.columns for b in batches] == [
+            TraceColumns.from_records(records[i:i + 3]) for i in (0, 3, 6)
+        ]
 
     def test_time_bound_opens_new_chunk(self):
         # 10 records, one per second; a 3-second bound caps each chunk
@@ -107,7 +108,7 @@ class TestChunking:
             DnsQuery(2.0, 2, "10.0.0.2", "b.example.com", QueryType.A),
         ]
         (batch,) = list(ChunkedTraceReader(_trace_stream(records)))
-        assert batch.records == records
+        assert batch.columns == TraceColumns.from_records(records)
 
     def test_empty_trace_yields_nothing(self):
         reader = ChunkedTraceReader(_trace_stream([]))
@@ -127,7 +128,7 @@ class TestCursorResume:
         batches = list(reader)
         assert [len(b) for b in batches] == [4]
         assert batches[0].start_record == 6
-        assert batches[0].records == records[6:]
+        assert batches[0].columns == TraceColumns.from_records(records[6:])
         assert reader.cursor == 10
 
     def test_cursor_concatenation_covers_trace(self):
@@ -144,8 +145,44 @@ class TestCursorResume:
             ChunkPolicy(max_records=100),
             start_record=first.cursor,
         )
-        tail = [r for b in second for r in b.records]
-        assert head.records + tail == records
+        assert head.columns == TraceColumns.from_records(records[:4])
+        assert [b.columns for b in second] == [
+            TraceColumns.from_records(records[4:])
+        ]
+
+    def test_time_bound_crossing_record_opens_next_chunk(self):
+        # Responses carry timestamps too: the response at t=3.0 crosses
+        # the 3-second bound of the chunk opened at t=0.0, so it opens
+        # the next chunk, and a pass reopened at the first chunk's
+        # cursor reads the same chunks as the uninterrupted pass.
+        records = []
+        for index in range(8):
+            name = f"name{index}.example.com"
+            records.append(
+                DnsQuery(float(index), index, "10.0.0.1", name, QueryType.A)
+            )
+            records.append(
+                DnsResponse(
+                    index + 0.5 if index % 2 else index + 1.0, index,
+                    "10.0.0.1", name,
+                    answers=(ResourceRecord(QueryType.A, "93.0.0.1", 60),),
+                )
+            )
+        policy = ChunkPolicy(max_records=100, max_seconds=3.0)
+        first = ChunkedTraceReader(_trace_stream(records), policy)
+        batches = list(first)
+        bounds = [0, 5, 12, 16]
+        assert [b.start_record for b in batches] == bounds[:-1]
+        assert [b.columns for b in batches] == [
+            TraceColumns.from_records(records[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert isinstance(records[5], DnsResponse)
+        second = ChunkedTraceReader(
+            _trace_stream(records), policy, start_record=batches[0].end_record
+        )
+        assert [b.columns for b in second] == [b.columns for b in batches[1:]]
+        assert second.cursor == first.cursor == len(records)
 
     def test_cursor_beyond_trace_raises(self):
         records = _make_records(3)

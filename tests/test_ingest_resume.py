@@ -222,7 +222,7 @@ class TestKillAndResume:
         from repro.dns.dhcp import HostIdentityResolver
         from repro.graphs.bipartite import (
             BipartiteGraph,
-            fold_records_into_graphs,
+            fold_columns_into_graphs,
         )
         from repro.graphs.core import VertexTable
         from repro.core.persistence import save_bipartite_graph
@@ -248,8 +248,8 @@ class TestKillAndResume:
             trace_dir / "dns.log", ChunkPolicy(max_records=700)
         ) as reader:
             for batch in reader:
-                fold_records_into_graphs(
-                    batch.records,
+                fold_columns_into_graphs(
+                    batch.columns,
                     *graphs,
                     identity=identity,
                     window_seconds=_CONFIG.time_window_seconds,

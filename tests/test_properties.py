@@ -50,6 +50,27 @@ class TestDomainNameProperties:
 # ---------------------------------------------------------------------------
 # Alias sampling
 
+@st.composite
+def _weights_with_zeros(draw):
+    """2..20 weights in [0, 10]: at least one positive and one zero.
+
+    Built rather than filtered: positive weights first, then one or more
+    zeros inserted at drawn indices.
+    """
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+            min_size=1,
+            max_size=19,
+        )
+    )
+    zeros = draw(st.integers(min_value=1, max_value=20 - len(weights)))
+    for __ in range(zeros):
+        index = draw(st.integers(min_value=0, max_value=len(weights)))
+        weights.insert(index, 0.0)
+    return weights
+
+
 class TestAliasProperties:
     @given(
         st.lists(
@@ -66,11 +87,7 @@ class TestAliasProperties:
             assert draws.min() >= 0
             assert draws.max() < len(weights)
 
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=20
-        ).filter(lambda w: sum(w) > 0 and 0.0 in w)
-    )
+    @given(_weights_with_zeros())
     @settings(max_examples=30)
     def test_zero_weights_never_sampled(self, weights):
         sampler = AliasSampler(np.array(weights))

@@ -87,13 +87,13 @@ class TestArtifactStore:
         with pytest.raises(StageGraphError, match="toy.right"):
             ArtifactStore().get(RIGHT)
 
-    def test_maybe_and_discard(self):
+    def test_maybe_and_has(self):
         store = ArtifactStore()
         assert store.maybe(LEFT) is None
-        store.put(LEFT, 1)
-        store.discard(LEFT)
         assert not store.has(LEFT)
-        store.discard(LEFT)  # idempotent
+        store.put(LEFT, 1)
+        assert store.maybe(LEFT) == 1
+        assert store.has(LEFT)
 
     def test_keys_compare_by_name(self):
         store = ArtifactStore()
