@@ -25,10 +25,13 @@ per-stage timing table and accept ``--metrics-out PATH`` to dump the
 full metrics snapshot as JSON (see docs/observability.md). Bad input
 paths exit with status 2 instead of a traceback.
 
-Parallelism: ``detect`` and ``cluster`` accept ``--workers N`` (``0``
-serial, ``auto`` one per CPU) and ``--parallel-backend`` to fan the
-embedding stage out over workers; embeddings are byte-identical to the
-serial run for the same seed (see docs/parallelism.md).
+Parallelism: ``detect`` and ``cluster`` train the behavioral views'
+LINE embeddings in parallel by default (``--workers auto``: one worker
+per CPU this process may use, serial on one CPU or on graphs too small
+to pay for a pool). ``--workers 0`` forces serial training and
+``--parallel-backend`` picks the worker kind; embeddings are
+byte-identical to the serial run for the same seed (see
+docs/parallelism.md). The library's own default stays serial.
 
 Out-of-core ingestion: ``detect`` and ``cluster`` accept
 ``--chunk-records`` / ``--chunk-seconds`` to stream the trace in
@@ -46,6 +49,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -79,6 +83,7 @@ from repro.ingest import (
 )
 from repro.labels import (
     IntelligenceFeed,
+    LabeledDataset,
     SimulatedThreatBook,
     SimulatedVirusTotal,
     build_labeled_dataset,
@@ -111,7 +116,7 @@ def _reject_trace_dir(directory: Path) -> str | None:
     return None
 
 
-def _require_trace_dir(args) -> Path | None:
+def _require_trace_dir(args: argparse.Namespace) -> Path | None:
     """Validated trace directory, or ``None`` after printing an error."""
     directory = Path(args.tracedir)
     error = _reject_trace_dir(directory)
@@ -142,7 +147,7 @@ def _reject_model_outdir(directory: Path) -> str | None:
     return None
 
 
-def _require_model_outdir(args) -> tuple[Path | None, bool]:
+def _require_model_outdir(args: argparse.Namespace) -> tuple[Path | None, bool]:
     """(validated --save-model dir or None, ok). Prints errors itself."""
     save_model = getattr(args, "save_model", None)
     if save_model is None:
@@ -155,7 +160,7 @@ def _require_model_outdir(args) -> tuple[Path | None, bool]:
     return directory, True
 
 
-def _publish_model(detector, outdir: Path) -> int:
+def _publish_model(detector: MaliciousDomainDetector, outdir: Path) -> int:
     """Publish the fitted detector's bundle into the registry at outdir."""
     registry = ModelRegistry(outdir)
     version = registry.publish(ModelBundle.from_detector(detector))
@@ -163,7 +168,7 @@ def _publish_model(detector, outdir: Path) -> int:
     return version
 
 
-def _emit_observability(args) -> None:
+def _emit_observability(args: argparse.Namespace) -> None:
     """Print the stage-timing table; write the JSON snapshot if asked."""
     registry = default_registry()
     print("\nstage timings:")
@@ -174,7 +179,11 @@ def _emit_observability(args) -> None:
         print(f"wrote metrics snapshot to {path}", file=sys.stderr)
 
 
-def _load_trace_dir(directory: Path):
+def _load_trace_dir(
+    directory: Path,
+) -> tuple[
+    list[DnsQuery], list[DnsResponse], DhcpLog | None, GroundTruth | None
+]:
     """Read (queries, responses, dhcp, truth-or-None) from a trace dir."""
     records = list(DnsTraceReader(directory / "dns.log"))
     queries = [r for r in records if isinstance(r, DnsQuery)]
@@ -201,7 +210,7 @@ def _parse_workers(value: str) -> int | str:
     return workers
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         embedding=LineConfig(dimension=args.dimension, seed=args.seed),
         parallel=ParallelConfig(
@@ -213,16 +222,21 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _build_detector(args, queries, responses, dhcp) -> MaliciousDomainDetector:
+def _build_detector(
+    args: argparse.Namespace,
+    queries: list[DnsQuery],
+    responses: list[DnsResponse],
+    dhcp: DhcpLog | None,
+) -> MaliciousDomainDetector:
     detector = MaliciousDomainDetector(_pipeline_config(args))
-    detector.build_graphs(queries, responses, dhcp)
-    print(detector.pruning_report.summary(), file=sys.stderr)
+    report = detector.build_graphs(queries, responses, dhcp)
+    print(report.summary(), file=sys.stderr)
     detector.build_similarity_graphs()
     detector.learn_embeddings()
     return detector
 
 
-def _chunked_requested(args) -> bool:
+def _chunked_requested(args: argparse.Namespace) -> bool:
     """Whether any chunked-ingestion flag engages the out-of-core path."""
     return (
         getattr(args, "chunk_records", None) is not None
@@ -232,7 +246,7 @@ def _chunked_requested(args) -> bool:
     )
 
 
-def _reject_ingest_args(args) -> str | None:
+def _reject_ingest_args(args: argparse.Namespace) -> str | None:
     """Why the chunked-ingestion flags are inconsistent, or ``None``."""
     if getattr(args, "resume", False) and not getattr(
         args, "checkpoint_dir", None
@@ -248,10 +262,10 @@ def _reject_ingest_args(args) -> str | None:
 
 
 def _run_chunked_pipeline(
-    args,
+    args: argparse.Namespace,
     directory: Path,
-    dhcp,
-    dataset_for,
+    dhcp: DhcpLog | None,
+    dataset_for: Callable[[list[str]], LabeledDataset] | None,
     *,
     cluster_k_max: int | None = None,
     cluster_seed: int = 0,
@@ -302,7 +316,7 @@ def _run_chunked_pipeline(
     return outcome
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     if outdir.exists() and not outdir.is_dir():
         print(
@@ -325,11 +339,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     directory = _require_trace_dir(args)
     if directory is None:
         return 2
-    queries, __, __, __ = _load_trace_dir(directory)
+    queries = _load_trace_dir(directory)[0]
     stats = compute_traffic_statistics(queries, bin_seconds=args.bin_seconds)
     print(
         format_series_table(
@@ -352,7 +366,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args: argparse.Namespace) -> int:
     directory = _require_trace_dir(args)
     if directory is None:
         return 2
@@ -420,7 +434,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args: argparse.Namespace) -> int:
     directory = _require_trace_dir(args)
     if directory is None:
         return 2
@@ -443,7 +457,7 @@ def cmd_cluster(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        dataset_for = None
+        dataset_for: Callable[[list[str]], LabeledDataset] | None = None
         if truth is not None:
             feed = IntelligenceFeed(truth)
             virustotal = SimulatedVirusTotal(truth)
@@ -528,7 +542,7 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_describe(args) -> int:
+def cmd_describe(args: argparse.Namespace) -> int:
     """Print the detection stage graph and checkpoint restorability."""
     # A representative full graph: the chunked source plus every
     # optional stage, so the whole dataflow is visible. Nothing runs —
@@ -580,7 +594,7 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args: argparse.Namespace) -> int:
     root = Path(args.model)
     if not root.exists():
         print(
@@ -635,6 +649,18 @@ def cmd_serve(args) -> int:
     finally:
         service.stop()
     return 0
+
+
+def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
+    """Embedding-parallelism flags shared by detect and cluster."""
+    parser.add_argument("--workers", type=_parse_workers, default="auto",
+                        metavar="N",
+                        help="embedding workers: 'auto' (default) for one "
+                        "per CPU this process may use, 0 for serial, or a "
+                        "count; outputs are byte-identical either way")
+    parser.add_argument("--parallel-backend", choices=list(BACKENDS),
+                        default="process",
+                        help="worker backend when more than one worker runs")
 
 
 def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
@@ -698,13 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--dimension", type=int, default=16)
     p_detect.add_argument("--seed", type=int, default=13)
     p_detect.add_argument("--top", type=int, default=15)
-    p_detect.add_argument("--workers", type=_parse_workers, default=0,
-                          metavar="N",
-                          help="embedding workers: 0 serial (default), "
-                          "'auto' for one per CPU, or a count")
-    p_detect.add_argument("--parallel-backend", choices=list(BACKENDS),
-                          default="process",
-                          help="worker backend when --workers > 1")
+    _add_parallel_args(p_detect)
     p_detect.add_argument("--svm-cache-mb", type=float,
                           default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
                           metavar="MB",
@@ -725,13 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--dimension", type=int, default=16)
     p_cluster.add_argument("--seed", type=int, default=13)
     p_cluster.add_argument("--k-max", type=int, default=50)
-    p_cluster.add_argument("--workers", type=_parse_workers, default=0,
-                           metavar="N",
-                           help="embedding workers: 0 serial (default), "
-                           "'auto' for one per CPU, or a count")
-    p_cluster.add_argument("--parallel-backend", choices=list(BACKENDS),
-                           default="process",
-                           help="worker backend when --workers > 1")
+    _add_parallel_args(p_cluster)
     p_cluster.add_argument("--svm-cache-mb", type=float,
                            default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
                            metavar="MB",

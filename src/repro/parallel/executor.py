@@ -11,6 +11,11 @@ serially in the caller — and :func:`run_tasks` executes them with:
 * **failure surfacing** — a worker exception, pool crash, or timeout is
   re-raised in the caller as :class:`~repro.errors.EmbeddingError` with
   the original error chained;
+* **one batch deadline** — ``timeout_seconds`` is measured once from
+  submission; when it passes, pending tasks are cancelled, process
+  workers are killed, and the caller gets the error without waiting
+  for the stragglers (thread workers cannot be killed and are left to
+  finish in the background);
 * **automatic serial fallback** — ``workers=0``, a single resolved
   worker, a task set below ``min_parallel_weight``, or a platform
   without ``fork`` all degrade to the plain in-process loop.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import (
     Executor,
     Future,
@@ -64,17 +70,20 @@ class ParallelConfig:
     """How (and whether) to parallelize embedding training.
 
     Attributes:
-        workers: ``0`` — serial execution (the default and the always-
-            safe choice); ``"auto"`` — one worker per CPU; any positive
-            int — that many workers.
+        workers: ``0`` — serial execution (the library default: a
+            library must not ``fork`` a host process that may be
+            multi-threaded); ``"auto"`` — one worker per CPU this
+            process may run on; any positive int — that many workers.
         backend: ``"process"`` (default), ``"thread"``, or ``"serial"``.
             Process workers sidestep the GIL and are right for the
             numpy-heavy LINE loop; threads avoid pickling/shared-memory
             setup and suit debugging; ``"serial"`` forces the in-caller
             loop regardless of ``workers``.
-        timeout_seconds: Per-run ceiling for the whole task batch;
-            ``None`` waits forever. Exceeding it raises
-            :class:`EmbeddingError`.
+        timeout_seconds: Deadline for the whole task batch, measured
+            from submission; ``None`` waits forever. Exceeding it raises
+            :class:`EmbeddingError` at the deadline: pending tasks are
+            cancelled and process workers killed, while running
+            thread workers (which cannot be killed) finish unobserved.
         min_parallel_weight: Task batches whose total weight (LINE edge
             samples) falls below this run serially — the work is too
             small to amortize worker startup. Set ``0`` to force
@@ -108,8 +117,13 @@ class ParallelConfig:
             raise EmbeddingError("min_parallel_weight must be non-negative")
 
     def resolved_workers(self) -> int:
-        """The concrete worker count (``"auto"`` -> CPU count)."""
+        """The concrete worker count (``"auto"`` -> usable CPU count)."""
         if self.workers == "auto":
+            # The CPUs this process may run on: os.cpu_count() counts the
+            # machine's, and would size a pool for cores that taskset or
+            # a restricted cpuset never grants.
+            if hasattr(os, "sched_getaffinity"):
+                return max(1, len(os.sched_getaffinity(0)))
             return max(1, os.cpu_count() or 1)
         return int(self.workers)
 
@@ -201,25 +215,53 @@ def run_tasks(
     workers = min(config.resolved_workers(), max(1, len(payloads)))
     pool = _make_pool(resolved, workers, initializer, initargs)
     try:
+        deadline = (
+            None
+            if config.timeout_seconds is None
+            else time.monotonic() + config.timeout_seconds
+        )
         futures: list[Future] = [
             pool.submit(fn, *payload) for payload in payloads
         ]
         results: list[Any] = []
         for index, future in enumerate(futures):
+            remaining = (
+                None
+                if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
             try:
-                results.append(future.result(timeout=config.timeout_seconds))
+                results.append(future.result(timeout=remaining))
             except EmbeddingError:
                 raise
             except (TimeoutError, FuturesTimeoutError) as exc:
                 raise EmbeddingError(
-                    f"{label}: task {index} timed out after "
-                    f"{config.timeout_seconds}s"
+                    f"{label}: batch timed out after "
+                    f"{config.timeout_seconds}s (task {index} unfinished)"
                 ) from exc
             except BaseException as exc:
                 raise EmbeddingError(
                     f"{label}: task {index} failed in {resolved} worker: "
                     f"{exc}"
                 ) from exc
-        return results
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    except BaseException:
+        _abandon(pool)
+        raise
+    pool.shutdown(wait=True)
+    return results
+
+
+def _abandon(pool: Executor) -> None:
+    """Give up on a failed or late batch without waiting for its tasks.
+
+    Pending tasks are cancelled and process workers are killed, so the
+    caller's error is not held back by stragglers. Thread workers cannot
+    be killed: a running thread task finishes in the background and its
+    result is dropped (the interpreter still waits for it at exit).
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.kill()
+    for process in processes:
+        process.join()

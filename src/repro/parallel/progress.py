@@ -89,7 +89,8 @@ class ProgressDrain:
             ... submit tasks, wait for results ...
 
     Exit stops the pump after the queue empties, so reports sent before
-    the last task finished are never dropped.
+    the last task finished are never dropped; after a failed run the
+    pump is left behind unjoined.
     """
 
     def __init__(
@@ -135,6 +136,11 @@ class ProgressDrain:
         try:
             self._queue.put(_SENTINEL)
         except Exception:  # pragma: no cover - queue torn down
+            return
+        if exc_type is not None:
+            # A failed batch's late reports do not matter, and a worker
+            # killed mid-write can leave the pump waiting on a torn
+            # message: leave the daemon pump behind instead of joining.
             return
         self._thread.join(timeout=10.0)
 

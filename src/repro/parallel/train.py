@@ -22,6 +22,7 @@ process runs produce byte-identical embeddings for the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from typing import TYPE_CHECKING, Sequence
@@ -224,26 +225,28 @@ def _train_views_pooled(
             for task in ordered
         ]
         started = time.perf_counter()
-        if report_queue is not None:
-            with ProgressDrain(report_queue, progress):
-                outcomes = run_tasks(
-                    _run_embedding_task,
-                    payloads,
-                    parallel,
-                    backend=backend,
-                    initializer=initializer,
-                    initargs=initargs,
-                    label="embedding",
-                )
-        else:
+        drain: contextlib.AbstractContextManager[object] = (
+            ProgressDrain(report_queue, progress)
+            if report_queue is not None
+            else contextlib.nullcontext()
+        )
+        with drain:
             outcomes = run_tasks(
                 _run_embedding_task,
                 payloads,
                 parallel,
                 backend=backend,
+                initializer=initializer,
+                initargs=initargs,
                 label="embedding",
             )
         wall = time.perf_counter() - started
+    except BaseException:
+        if report_queue is not None:
+            # A worker killed at the deadline may still hold the queue's
+            # write lock, so its feeder thread must not be waited on.
+            report_queue.cancel_join_thread()
+        raise
     finally:
         for pack in packs.values():
             pack.close()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.parallel import ParallelConfig, fork_available
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,72 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+class TestParallelDefault:
+    @pytest.mark.parametrize("command", ["detect", "cluster"])
+    def test_workers_default_to_auto(self, command):
+        args = build_parser().parse_args([command, "t"])
+        assert args.workers == "auto"
+        assert args.parallel_backend == "process"
+
+    def test_auto_on_one_usable_cpu_is_serial(self, monkeypatch):
+        import os
+
+        from repro.cli import _pipeline_config
+
+        # Under taskset -c 0 or a one-CPU cpuset the default builds no
+        # pool, however many CPUs the machine has.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        args = build_parser().parse_args(["detect", "t"])
+        parallel = _pipeline_config(args).parallel
+        assert parallel == ParallelConfig(workers="auto")
+        assert parallel.resolved_workers() == 1
+        assert parallel.resolved_backend(10**9) == "serial"
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_default_run_uses_pool_and_matches_serial(
+        self, trace_dir, tmp_path, monkeypatch, capsys
+    ):
+        import os
+        import shutil
+
+        from repro.obs.logging import configure
+
+        # Two usable CPUs on any host, so "auto" resolves to a pool
+        # even on a one-CPU runner.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        copy = tmp_path / "trace"
+        copy.mkdir()
+        for name in ("dns.log", "dhcp.log", "groundtruth.tsv"):
+            shutil.copy(trace_dir / name, copy / name)
+
+        def verdicts(*extra):
+            code = main(["detect", str(copy), "--dimension", "8", *extra])
+            assert code == 0
+            captured = capsys.readouterr()
+            # The timing table is the one part that differs run to run.
+            head = captured.out.split("\nstage timings:")[0]
+            return head, (copy / "scores.tsv").read_bytes(), captured.err
+
+        try:
+            default_out, default_scores, default_err = verdicts("-v")
+            serial_out, serial_scores, serial_err = verdicts(
+                "-v", "--workers", "0"
+            )
+        finally:
+            configure(0)
+        # Three non-empty views draw >= 3 x 400k samples, above the 1M
+        # serial-fallback floor, so the default run trains in the pool.
+        assert "event=views_trained" in default_err
+        assert "backend=process" in default_err
+        assert "views_trained" not in serial_err
+        assert default_out == serial_out
+        assert default_scores == serial_scores
 
 
 class TestSimulate:

@@ -56,11 +56,11 @@ def _boom(value):
     raise ValueError(f"task blew up on {value}")
 
 
-def _slow(value):
+def _sleep(seconds):
     import time
 
-    time.sleep(5.0)
-    return value
+    time.sleep(seconds)
+    return seconds
 
 
 class TestParallelConfig:
@@ -70,8 +70,14 @@ class TestParallelConfig:
     def test_auto_resolves_to_cpu_count(self):
         import os
 
+        # "auto" counts the CPUs this process may run on, not the
+        # machine's: the two differ under taskset or a cpuset.
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
         config = ParallelConfig(workers="auto")
-        assert config.resolved_workers() == max(1, os.cpu_count() or 1)
+        assert config.resolved_workers() == max(1, usable)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -168,11 +174,61 @@ class TestRunTasks:
             run_tasks(_boom, [(1,)], config, backend="process")
 
     def test_timeout_becomes_embedding_error(self):
+        # The error arrives at the deadline, not when the 5 s tasks end:
+        # unkillable thread workers are left to finish in the background.
+        import time
+
         config = ParallelConfig(
             workers=2, min_parallel_weight=0, timeout_seconds=0.05
         )
+        started = time.monotonic()
         with pytest.raises(EmbeddingError, match="timed out"):
-            run_tasks(_slow, [(1,), (2,)], config, backend="thread")
+            run_tasks(_sleep, [(5.0,), (5.0,)], config, backend="thread")
+        assert time.monotonic() - started < 0.05 + 1.0
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_timeout_kills_process_workers(self):
+        import multiprocessing
+        import time
+
+        config = ParallelConfig(
+            workers=2, min_parallel_weight=0, timeout_seconds=0.2
+        )
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(EmbeddingError, match="timed out"):
+            run_tasks(_sleep, [(5.0,)] * 3, config, backend="process")
+        assert time.monotonic() - started < 0.2 + 1.0
+        # The pool's own manager thread may still be reaping the killed
+        # workers; 5 s sleepers that were not killed would outlast this.
+        settle = time.monotonic() + 1.0
+        while time.monotonic() < settle and not (
+            set(multiprocessing.active_children()) <= before
+        ):
+            time.sleep(0.01)
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "thread",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not fork_available(), reason="needs fork"
+                ),
+            ),
+        ],
+    )
+    def test_deadline_covers_the_whole_batch(self, backend):
+        # Four 0.3 s tasks on two workers end at about 0.6 s. Each task
+        # alone beats the 0.45 s deadline, and so does every single
+        # wait on a future; only the batch as a whole misses it.
+        config = ParallelConfig(
+            workers=2, min_parallel_weight=0, timeout_seconds=0.45
+        )
+        with pytest.raises(EmbeddingError, match="timed out"):
+            run_tasks(_sleep, [(0.3,)] * 4, config, backend=backend)
 
 
 class TestPlanning:
