@@ -48,6 +48,7 @@ from repro.core.persistence import (
     save_classifier,
     save_feature_space,
     save_similarity_graph,
+    write_arrays,
 )
 from repro.core.stages import (
     ArtifactKey,
@@ -219,9 +220,18 @@ def pipeline_fingerprint(
 
 
 def write_graph_files(staging: Path, graphs: GraphTriple) -> None:
-    """Write the graph triple into ``staging`` under the canonical names."""
+    """Write the graph triple into ``staging`` under the canonical names.
+
+    Each file carries its own copy of the domain table (the layout
+    :func:`load_shared_graphs` reads), but a table the graphs share is
+    encoded once.
+    """
+    encoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for graph, name in zip(graphs, GRAPH_FILES):
-        save_bipartite_graph(graph, staging / name)
+        left = encoded.get(id(graph.left))
+        if left is None:
+            left = encoded[id(graph.left)] = graph.left.to_arrays()
+        save_bipartite_graph(graph, staging / name, left_arrays=left)
 
 
 def load_shared_graphs(directory: Path) -> GraphTriple:
@@ -336,7 +346,7 @@ class PruneStage(Stage[GraphTriple, GraphTriple]):
     ) -> dict[str, object]:
         write_graph_files(staging, store.get(PRUNED_GRAPHS))
         report = store.get(PRUNING_REPORT)
-        np.savez_compressed(
+        write_arrays(
             staging / "domains.npz",
             surviving=np.array(store.get(DOMAIN_ORDER), dtype=np.str_),
             dropped_popular=np.array(report.dropped_popular, dtype=np.str_),
@@ -553,7 +563,7 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
     ) -> dict[str, object]:
         save_classifier(store.get(CLASSIFIER), staging / "classifier.npz")
         domains = store.get(SCORED_DOMAINS)
-        np.savez_compressed(
+        write_arrays(
             staging / "scores.npz",
             domains=np.array(domains, dtype=np.str_),
             scores=store.get(DECISION_SCORES),
@@ -639,7 +649,7 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
             if clusters
             else np.empty((0, 0), dtype=np.float64)
         )
-        np.savez_compressed(
+        write_arrays(
             staging / "clusters.npz",
             labels=labels,
             centers=centers,
@@ -660,19 +670,24 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
             labels = np.asarray(archive["labels"], dtype=np.int64)
             centers = np.asarray(archive["centers"], dtype=np.float64)
             cluster_ids = np.asarray(archive["cluster_ids"], dtype=np.int64)
+        # One pass groups every domain under its label, in domain order;
+        # unclustered (-1) and unknown labels are dropped.
+        members: dict[int, list[str]] = {
+            cid: [] for cid in cluster_ids.tolist()
+        }
+        for domain, label in zip(order, labels.tolist()):
+            bucket = members.get(label)
+            if bucket is not None:
+                bucket.append(domain)
         store.put(
             CLUSTERS,
             [
                 DomainCluster(
-                    cluster_id=int(cid),
-                    domains=[
-                        d
-                        for d, label in zip(order, labels)
-                        if label == cid
-                    ],
+                    cluster_id=cid,
+                    domains=list(members[cid]),
                     center=centers[position],
                 )
-                for position, cid in enumerate(cluster_ids)
+                for position, cid in enumerate(cluster_ids.tolist())
             ],
         )
 

@@ -7,6 +7,12 @@ and scaler (so scoring never requires retraining; see ``repro.serve``
 for the bundle/registry layer built on top). Formats are plain ``.npz``
 (numpy) plus small JSON sidecars — no pickle, so artifacts are safe to
 share and stable across versions.
+
+Every ``.npz`` the system writes (these files, stage checkpoints, model
+bundles) goes through :func:`write_arrays`, which stores members
+uncompressed: the arrays are mostly float vectors that deflate shrinks
+by a fifth at many times the cost of the write. Loaders read stored and
+deflated archives alike, so artifacts written compressed still load.
 """
 
 from __future__ import annotations
@@ -30,11 +36,20 @@ from repro.ml.svm import DEFAULT_CACHE_MB, SupportVectorClassifier
 _FORMAT_VERSION = 1
 
 
+def write_arrays(path: str | Path, **arrays: np.ndarray) -> None:
+    """Write ``arrays`` as a stored (uncompressed) ``.npz`` at ``path``.
+
+    The one place the artifact encoding is decided. ``np.savez`` writes
+    ``ZIP_STORED`` members, and appends ``.npz`` to a path without it.
+    """
+    np.savez(path, **arrays)
+
+
 def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:
     """Write one LINE embedding as ``<path>`` (.npz)."""
     path = Path(path)
     config = asdict(embedding.config)
-    np.savez_compressed(
+    write_arrays(
         path,
         vectors=embedding.vectors,
         domains=np.array(embedding.domains, dtype=np.str_),
@@ -84,26 +99,36 @@ def load_feature_space(directory: str | Path) -> FeatureSpace:
     )
 
 
-def save_bipartite_graph(graph: BipartiteGraph, path: str | Path) -> None:
+def save_bipartite_graph(
+    graph: BipartiteGraph,
+    path: str | Path,
+    *,
+    left_arrays: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
     """Write one bipartite graph as ``<path>`` (.npz).
 
     The columnar representation persists directly: both vertex-table
     interners (values as unicode strings plus a type-code column, so
     integer time-window vertices round-trip without pickle) and the
-    deduplicated ``(left_id, right_id)`` edge arrays.
+    deduplicated ``(left_id, right_id)`` edge arrays as ``uint32`` (the
+    interner caps ids at 2^32 - 1). ``left_arrays`` passes
+    ``graph.left.to_arrays()`` already encoded, so graphs that share one
+    domain table encode it once.
     """
-    left_values, left_codes = graph.left.to_arrays()
+    if left_arrays is None:
+        left_arrays = graph.left.to_arrays()
+    left_values, left_codes = left_arrays
     right_values, right_codes = graph.right.to_arrays()
     lefts, rights = graph.edges.columns()
-    np.savez_compressed(
-        Path(path),
+    write_arrays(
+        path,
         kind=np.array(graph.kind),
         left_values=left_values,
         left_codes=left_codes,
         right_values=right_values,
         right_codes=right_codes,
-        lefts=lefts,
-        rights=rights,
+        lefts=lefts.astype(np.uint32),
+        rights=rights.astype(np.uint32),
         format_version=np.array(_FORMAT_VERSION),
     )
 
@@ -165,8 +190,8 @@ def save_classifier(
         "threshold": classifier.threshold,
         "threshold_": classifier.threshold_,
     }
-    np.savez_compressed(
-        Path(path),
+    write_arrays(
+        path,
         support_vectors=svm._support_vectors,
         dual_coefficients=svm._support_coefficients,
         bias=np.array(svm._bias, dtype=np.float64),
@@ -230,8 +255,8 @@ def save_scaler(scaler: StandardScaler, path: str | Path) -> None:
     """Write a fitted :class:`StandardScaler` as ``<path>`` (.npz)."""
     if scaler.mean_ is None or scaler.scale_ is None:
         raise NotFittedError("StandardScaler")
-    np.savez_compressed(
-        Path(path),
+    write_arrays(
+        path,
         mean=scaler.mean_,
         scale=scaler.scale_,
         format_version=np.array(_FORMAT_VERSION),
@@ -251,13 +276,13 @@ def load_scaler(path: str | Path) -> StandardScaler:
 
 
 def save_similarity_graph(graph: SimilarityGraph, path: str | Path) -> None:
-    """Write one similarity graph as ``<path>`` (.npz)."""
-    np.savez_compressed(
-        Path(path),
+    """Write one similarity graph as ``<path>`` (.npz), ids as ``uint32``."""
+    write_arrays(
+        path,
         kind=np.array(graph.kind),
         domains=np.array(graph.domains, dtype=np.str_),
-        rows=graph.rows,
-        cols=graph.cols,
+        rows=graph.rows.astype(np.uint32),
+        cols=graph.cols.astype(np.uint32),
         weights=graph.weights,
         format_version=np.array(_FORMAT_VERSION),
     )

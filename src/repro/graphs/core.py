@@ -25,7 +25,7 @@ O(E log E) pass at the end instead of a hash lookup per record.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -137,33 +137,93 @@ class VertexTable:
         Type code 0 = int, 1 = str. Other value types are not
         persistable (nothing in the pipeline produces them).
         """
-        strings = np.empty(len(self._values), dtype=object)
-        codes = np.empty(len(self._values), dtype=np.int8)
-        for i, value in enumerate(self._values):
-            if isinstance(value, (int, np.integer)) and not isinstance(
-                value, bool
-            ):
-                strings[i] = str(int(value))
-                codes[i] = 0
-            elif isinstance(value, str):
-                strings[i] = value
-                codes[i] = 1
-            else:
-                raise GraphConstructionError(
-                    f"cannot persist vertex of type {type(value).__name__}"
-                )
-        # A unicode array round-trips through npz without pickle.
-        return strings.astype(np.str_), codes
+        values = self._values
+        kinds = set(map(type, values))
+        if len(kinds) == 1 and kinds <= _TYPE_CODES.keys():
+            codes = np.full(len(values), _TYPE_CODES[kinds.pop()], np.int8)
+        else:  # empty, mixed, or holding int/str subclasses
+            values, codes = _normalise_for_arrays(values)
+        # A unicode array round-trips through npz without pickle; numpy
+        # writes each int in its decimal form.
+        return np.array(values, dtype=np.str_), codes
 
     @classmethod
     def from_arrays(
         cls, strings: np.ndarray, codes: np.ndarray
     ) -> "VertexTable":
-        """Rebuild a table written by :meth:`to_arrays`."""
+        """Rebuild a table written by :meth:`to_arrays`.
+
+        Raises :class:`GraphConstructionError` on a corrupt table: columns
+        of different lengths, a type code other than 0/1, an int column
+        entry that does not parse, or a value listed twice (which would
+        shift every later id).
+        """
+        strings = np.asarray(strings, dtype=np.str_)
+        codes = np.asarray(codes)
+        if strings.ndim != 1 or strings.shape != codes.shape:
+            raise GraphConstructionError(
+                f"vertex table columns disagree: {strings.shape} strings, "
+                f"{codes.shape} type codes"
+            )
+        if len(strings) > _MAX_ID + 1:
+            raise GraphConstructionError("vertex table overflow (2^32 ids)")
+        is_int = codes == 0
+        if not np.all(is_int | (codes == 1)):
+            raise GraphConstructionError(
+                "vertex table type codes must be 0 (int) or 1 (str)"
+            )
+        values: list[Any] = strings.tolist()
+        try:
+            if is_int.all():
+                values = list(map(int, values))
+            elif is_int.any():
+                values = [
+                    int(text) if flag else text
+                    for text, flag in zip(values, is_int.tolist())
+                ]
+        except ValueError as exc:
+            raise GraphConstructionError(
+                f"vertex table int entry does not parse: {exc}"
+            ) from None
+        ids: dict[Hashable, int] = dict(zip(values, range(len(values))))
+        if len(ids) != len(values):
+            raise GraphConstructionError(
+                f"vertex table lists {len(values) - len(ids)} value(s) twice"
+            )
         table = cls()
-        for text, code in zip(strings, codes):
-            table.intern(int(text) if int(code) == 0 else str(text))
+        table._ids = ids
+        table._values = values
         return table
+
+
+#: Type code of each exactly-typed persistable vertex value.
+_TYPE_CODES: dict[type, int] = {int: 0, str: 1}
+
+
+def _normalise_for_arrays(
+    values: list[Hashable],
+) -> tuple[list[Hashable], np.ndarray]:
+    """Per-value encoding for tables holding int/str subclasses.
+
+    numpy integers and int subclasses are written as plain ints; bools
+    and every type other than int and str are rejected.
+    """
+    plain: list[Hashable] = []
+    codes: list[int] = []
+    for value in values:
+        if isinstance(value, (int, np.integer)) and not isinstance(
+            value, bool
+        ):
+            plain.append(int(value))
+            codes.append(0)
+        elif isinstance(value, str):
+            plain.append(value)
+            codes.append(1)
+        else:
+            raise GraphConstructionError(
+                f"cannot persist vertex of type {type(value).__name__}"
+            )
+    return plain, np.array(codes, dtype=np.int8)
 
 
 class EdgeList:

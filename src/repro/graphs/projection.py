@@ -16,13 +16,10 @@ minute windows are shared by many domains).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    import networkx as nx
 
 from repro.errors import GraphConstructionError
 from repro.graphs.bipartite import BipartiteGraph
@@ -123,15 +120,6 @@ class SimilarityGraph:
     def iter_edges(self) -> Iterator[tuple[str, str, float]]:
         for row, col, weight in zip(self.rows, self.cols, self.weights):
             yield self.domains[int(row)], self.domains[int(col)], float(weight)
-
-    def to_networkx(self) -> "nx.Graph":
-        """Export as a weighted networkx Graph (for analysis/debugging)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.domains)
-        graph.add_weighted_edges_from(self.iter_edges())
-        return graph
 
     def degree_array(self) -> np.ndarray:
         """Weighted degree per node, aligned with :attr:`domains`."""

@@ -34,6 +34,7 @@ from repro.core.persistence import (
     load_scaler,
     save_classifier,
     save_scaler,
+    write_arrays,
 )
 from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
 from repro.ml.preprocessing import StandardScaler
@@ -252,7 +253,7 @@ class ModelBundle:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         save_classifier(self.classifier, directory / _CLASSIFIER_FILE)
-        np.savez_compressed(
+        write_arrays(
             directory / _FEATURES_FILE,
             features=self.features,
             domains=np.array(self.domains, dtype=np.str_),

@@ -10,11 +10,12 @@ simulated trace.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.persistence import load_bipartite_graph, save_bipartite_graph
 from repro.dns.names import is_valid_domain_name
 from repro.dns.psl import default_psl
-from repro.errors import DomainNameError
+from repro.errors import DomainNameError, GraphConstructionError
 from repro.graphs import (
     AdjacencyView,
     BipartiteGraph,
@@ -67,6 +68,105 @@ class TestVertexTable:
         rebuilt = VertexTable.from_arrays(values, codes)
         assert rebuilt.values == table.values
         assert rebuilt.id_of(42) == table.id_of(42)
+
+    def test_numpy_ints_persist_as_plain_ints(self):
+        table = VertexTable([np.int64(5), "a", np.int32(-2)])
+        values, codes = table.to_arrays()
+        assert values.tolist() == ["5", "a", "-2"]
+        assert codes.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("value", [True, 1.5, ("a", 1), None])
+    def test_unpersistable_vertex_rejected(self, value):
+        with pytest.raises(GraphConstructionError, match="cannot persist"):
+            VertexTable(["a", value]).to_arrays()
+
+
+def _reference_to_arrays(values):
+    """The per-value encoding :meth:`VertexTable.to_arrays` must match."""
+    strings = [str(v) for v in values]
+    codes = [0 if isinstance(v, int) else 1 for v in values]
+    return strings, codes
+
+
+# numpy unicode arrays drop trailing NULs, so names never carry one.
+_names = st.text(
+    alphabet=st.characters(exclude_characters="\x00"), max_size=12
+)
+_vertices = st.lists(
+    st.one_of(
+        st.integers(min_value=-(2**70), max_value=2**70),
+        _names,
+        st.integers(min_value=-50, max_value=50).map(str),  # "42" beside 42
+        st.sampled_from(["bücher.de", "пример.рф", "例子.中国", ""]),
+    ),
+    max_size=40,
+)
+
+
+class TestVertexTableArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(_vertices)
+    def test_round_trip_matches_per_value_reference(self, raw):
+        table = VertexTable(raw)  # per-value interning, duplicates folded
+        strings, codes = table.to_arrays()
+        assert (strings.tolist(), codes.tolist()) == _reference_to_arrays(
+            table.values
+        )
+        assert codes.dtype == np.int8
+        rebuilt = VertexTable.from_arrays(strings, codes)
+        assert [(type(v), v) for v in rebuilt.values] == [
+            (type(v), v) for v in table.values
+        ]
+        for value in raw:
+            assert rebuilt.id_of(value) == table.id_of(value)
+            assert type(rebuilt.value_of(rebuilt.id_of(value))) is type(value)
+
+    def test_empty_table(self):
+        strings, codes = VertexTable().to_arrays()
+        assert strings.shape == codes.shape == (0,)
+        rebuilt = VertexTable.from_arrays(strings, codes)
+        assert len(rebuilt) == 0 and rebuilt.values == []
+        assert rebuilt.intern("a") == 0
+
+    def test_rebuilt_table_keeps_interning(self):
+        rebuilt = VertexTable.from_arrays(*VertexTable(["a", 3]).to_arrays())
+        assert rebuilt.intern(3) == 1
+        assert rebuilt.intern("b") == 2
+        assert rebuilt.values == ["a", 3, "b"]
+
+    def test_duplicate_value_rejected(self):
+        # "a" twice would shift every later id: edges would point at
+        # the wrong vertices.
+        strings = np.array(["a", "b", "a", "c"])
+        codes = np.ones(4, dtype=np.int8)
+        with pytest.raises(GraphConstructionError, match="twice"):
+            VertexTable.from_arrays(strings, codes)
+
+    def test_duplicate_int_rejected(self):
+        strings = np.array(["7", "07"])
+        codes = np.zeros(2, dtype=np.int8)
+        with pytest.raises(GraphConstructionError, match="twice"):
+            VertexTable.from_arrays(strings, codes)
+
+    @pytest.mark.parametrize("bad", [2, -1, 9])
+    def test_unknown_type_code_rejected(self, bad):
+        strings = np.array(["a", "1"])
+        codes = np.array([1, bad], dtype=np.int8)
+        with pytest.raises(GraphConstructionError, match="type codes"):
+            VertexTable.from_arrays(strings, codes)
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+    def test_length_mismatch_rejected(self, lengths):
+        strings = np.array(["a", "b", "c"][: lengths[0]])
+        codes = np.ones(lengths[1], dtype=np.int8)
+        with pytest.raises(GraphConstructionError, match="disagree"):
+            VertexTable.from_arrays(strings, codes)
+
+    def test_unparsable_int_rejected(self):
+        with pytest.raises(GraphConstructionError, match="does not parse"):
+            VertexTable.from_arrays(
+                np.array(["a", "x1"]), np.array([1, 0], dtype=np.int8)
+            )
 
 
 class TestEdgeListEager:

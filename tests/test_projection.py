@@ -109,11 +109,6 @@ class TestSimilarityGraphApi:
         index_a = sim.domain_index["a.com"]
         assert degrees[index_a] == pytest.approx(1.0 + 1 / 3)
 
-    def test_to_networkx(self, graph):
-        nx_graph = project_to_similarity(graph).to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph["a.com"]["b.com"]["weight"] == pytest.approx(1.0)
-
     def test_iter_edges_unique_pairs(self, graph):
         sim = project_to_similarity(graph)
         pairs = [(a, b) for a, b, __ in sim.iter_edges()]
