@@ -59,8 +59,6 @@ TRACKED_METRICS = {
     "embedding.serial_seconds": "lower",
     "embedding.parallel_seconds": "lower",
     "serve_score_p50_us": "lower",
-    "serve_shed_rate": "higher",
-    "serve_p99_under_load_us": "lower",
     "svm_fit_seconds": "lower",
     "svm_fit_peak_mb": "lower",
     "cv.parallel_identical": "higher",
@@ -237,131 +235,6 @@ def _bench_ingest_rss(trace, chunk_records: int = 5_000) -> dict[str, float]:
             check=True,
         )
     return {"ingest_peak_rss_mb": float(result.stdout.strip().splitlines()[-1])}
-
-
-def _bench_serve_load(detector, repeats: int) -> tuple[
-    dict[str, float], dict[str, float]
-]:
-    """Closed-loop overload benchmark through the HTTP scoring service.
-
-    Publishes the fitted detector into a registry, starts a
-    :class:`ScoringService` with a deliberately small admission limit,
-    injects a fixed scorer latency (so configured capacity, not
-    hardware speed, bounds throughput), and drives a closed loop of
-    concurrent clients against it. Two tracked numbers fall out:
-
-    * ``serve_shed_rate`` ("higher") — the fraction of attempts shed
-      with 429. Under this fixed overload the admission controller must
-      keep refusing excess work; a falling shed rate means requests are
-      piling up inside the service instead.
-    * ``serve_p99_under_load_us`` ("lower") — p99 latency of *accepted*
-      requests. Shedding exists precisely so that admitted work stays
-      fast; queue bloat shows up here first.
-    """
-    import http.client
-    import threading
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.serve import (
-        ModelBundle,
-        ModelRegistry,
-        ScoringService,
-        ServiceConfig,
-    )
-
-    bundle = ModelBundle.from_detector(detector)
-    clients, per_client = 12, 10
-    injected_latency = 0.005
-
-    best_p99 = float("inf")
-    shed_total = 0
-    accepted_total = 0
-    other_total = 0
-
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(Path(tmp) / "models")
-        registry.publish(bundle)
-        service = ScoringService(
-            registry,
-            ServiceConfig(
-                port=0,
-                max_inflight=2,
-                queue_depth=4,
-                deadline_seconds=10.0,
-                batch_window_seconds=0.001,
-                request_timeout_seconds=30.0,
-            ),
-            metrics=MetricsRegistry(),
-        )
-        __, port = service.start()
-        try:
-            service.faults.inject(
-                "scorer.score_batch",
-                latency_seconds=injected_latency,
-                times=None,
-            )
-            domains = bundle.domains
-            for __ in range(max(1, repeats)):
-                latencies: list[float] = []
-                outcomes = {"shed": 0, "other": 0}
-                lock = threading.Lock()
-
-                def _client(offset: int) -> None:
-                    for i in range(per_client):
-                        domain = domains[(offset + i) % len(domains)]
-                        connection = http.client.HTTPConnection(
-                            "127.0.0.1", port, timeout=30
-                        )
-                        started = time.perf_counter()
-                        try:
-                            connection.request(
-                                "POST",
-                                "/v1/score",
-                                body=json.dumps({"domain": domain}).encode(),
-                            )
-                            response = connection.getresponse()
-                            response.read()
-                        finally:
-                            connection.close()
-                        elapsed = time.perf_counter() - started
-                        with lock:
-                            if response.status == 200:
-                                latencies.append(elapsed)
-                            elif response.status == 429:
-                                outcomes["shed"] += 1
-                            else:
-                                outcomes["other"] += 1
-
-                threads = [
-                    threading.Thread(target=_client, args=(k * 3,))
-                    for k in range(clients)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                if latencies:
-                    best_p99 = min(
-                        best_p99, float(np.percentile(latencies, 99))
-                    )
-                shed_total += outcomes["shed"]
-                other_total += outcomes["other"]
-                accepted_total += len(latencies)
-        finally:
-            service.stop()
-
-    attempts = shed_total + other_total + accepted_total
-    metrics = {
-        "serve_shed_rate": shed_total / max(attempts, 1),
-        "serve_p99_under_load_us": best_p99 * 1e6,
-    }
-    info = {
-        "serve.load_attempts": float(attempts),
-        "serve.load_accepted": float(accepted_total),
-        "serve.load_failed": float(other_total),
-        "serve.load_injected_latency_us": injected_latency * 1e6,
-    }
-    return metrics, info
 
 
 def _bench_svm_solver(seed: int, repeats: int) -> tuple[
@@ -596,10 +469,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     detector.fit(dataset)
 
     metrics.update(_bench_serve_scorer(detector, args.repeats))
-
-    load_metrics, load_info = _bench_serve_load(detector, args.repeats)
-    metrics.update(load_metrics)
-    info.update(load_info)
 
     svm_metrics, svm_info = _bench_svm_solver(args.seed, args.repeats)
     metrics.update(svm_metrics)

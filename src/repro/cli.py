@@ -623,7 +623,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         unknown_policy=args.unknown_policy,
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
         deadline_seconds=args.deadline_ms / 1000.0,
     )
     try:
@@ -789,11 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="queue_depth", metavar="N",
                          help="requests allowed to wait for a slot before "
                          "excess load is shed with 429 (default 32)")
-    p_serve.add_argument("--batch-window-ms", type=float, default=0.0,
-                         dest="batch_window_ms", metavar="MS",
-                         help="coalesce concurrent requests arriving within "
-                         "MS milliseconds into one vectorized scoring call "
-                         "(0 disables micro-batching; default 0)")
     p_serve.add_argument("--deadline-ms", type=float, default=5000.0,
                          dest="deadline_ms", metavar="MS",
                          help="per-request budget; requests not served "

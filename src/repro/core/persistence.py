@@ -17,6 +17,7 @@ deflated archives alike, so artifacts written compressed still load.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -43,6 +44,18 @@ def write_arrays(path: str | Path, **arrays: np.ndarray) -> None:
     ``ZIP_STORED`` members, and appends ``.npz`` to a path without it.
     """
     np.savez(path, **arrays)
+
+
+def sha256_file(path: str | Path) -> str:
+    """Hex SHA-256 of a file, streamed in 1 MiB chunks.
+
+    The checksum that bundle and checkpoint manifests record per file.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:

@@ -12,9 +12,9 @@ and responses can be interleaved in capture order:
 
 Readers are streaming (constant memory) and raise
 :class:`~repro.errors.DnsLogFormatError` with line numbers on malformed
-input. A pass yields either whole record objects (iterate a
-:class:`DnsTraceReader`) or, for graph construction, only the
-:class:`TraceColumns` the graph fold reads
+input, including any line that holds a NUL character. A pass yields
+either whole record objects (iterate a :class:`DnsTraceReader`) or, for
+graph construction, only the :class:`TraceColumns` the graph fold reads
 (:meth:`TraceRecordIterator.read_columns`); both apply the same checks.
 """
 
@@ -81,7 +81,12 @@ def _stamp_and_txid(
     validation both readers share: :func:`parse_query` /
     :func:`parse_response` build objects from the values, while
     :meth:`TraceRecordIterator.read_columns` appends them to columns.
+    A NUL anywhere in the line is rejected: fields are kept verbatim,
+    and numpy string arrays (checkpoints, bundles) drop trailing NULs,
+    so ``"10.0.0.1\x00"`` would collide with ``"10.0.0.1"`` on reload.
     """
+    if "\x00" in line:
+        raise DnsLogFormatError(line_number, line, "NUL character in record")
     if len(fields) != 6:
         raise DnsLogFormatError(line_number, line, f"{kind} needs 6 fields")
     try:

@@ -23,7 +23,6 @@ a torn or tampered state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -44,6 +43,7 @@ from repro.core.dataflow import (
     STAGE_PROJECT,
     STAGE_PRUNE,
 )
+from repro.core.persistence import sha256_file
 from repro.errors import ArtifactIntegrityError, IngestError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import default_registry
@@ -65,15 +65,6 @@ _log = get_logger(__name__)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 MANIFEST_FILENAME = "manifest.json"
-
-
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, streamed in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(slots=True)
@@ -192,7 +183,7 @@ class PipelineCheckpointer:
                 created_at=time.time(),
                 complete=complete,
                 files={
-                    entry.name: _sha256(entry)
+                    entry.name: sha256_file(entry)
                     for entry in sorted(staging.iterdir())
                     if entry.is_file()
                 },
@@ -261,7 +252,7 @@ class PipelineCheckpointer:
                 raise ArtifactIntegrityError(
                     f"checkpoint artifact missing: {artifact}"
                 )
-            actual = _sha256(artifact)
+            actual = sha256_file(artifact)
             if actual != expected:
                 raise ArtifactIntegrityError(
                     f"checksum mismatch for {artifact}: manifest "

@@ -6,18 +6,14 @@ verdict queries continuously. This package is that deployment surface:
 
 * :class:`ModelBundle` packages a trained classifier + feature matrix +
   manifest as a checksummed, pickle-free artifact directory;
-* :class:`ModelRegistry` keeps versioned bundles with atomic publish
-  and lock-free hot swap of the active version;
+* :class:`ModelRegistry` keeps versioned bundles with atomic publish;
 * :class:`DomainScorer` answers single/batch verdict queries from a
   bundle (vectorized, LRU-cached, explicit unknown-domain policy);
 * :class:`ScoringService` exposes it all over HTTP with health checks,
-  metrics, and zero-downtime reload (``repro-dns serve``);
+  metrics, and zero-downtime reload (``repro-dns serve``), swapping
+  the active version in with one reference assignment;
 * :class:`AdmissionController` bounds in-flight scoring work and sheds
-  excess load (429 + ``Retry-After``) with per-request deadlines;
-* :class:`MicroBatcher` coalesces concurrent small requests into one
-  vectorized scoring call;
-* :class:`FaultInjector` provides deterministic, test-only latency and
-  error injection so the degradation paths stay exercised.
+  excess load (429 + ``Retry-After``) with per-request deadlines.
 
 See ``docs/serving.md`` for the bundle format, endpoint reference, and
 the operating-under-load runbook.
@@ -28,13 +24,11 @@ from repro.serve.admission import (
     AdmissionResult,
     Deadline,
 )
-from repro.serve.batcher import MicroBatcher
 from repro.serve.bundle import (
     BUNDLE_SCHEMA_VERSION,
     BundleManifest,
     ModelBundle,
 )
-from repro.serve.faults import FAULT_SITES, FaultInjector
 from repro.serve.registry import ModelRegistry
 from repro.serve.scorer import UNKNOWN_POLICIES, DomainScorer, Verdict
 from repro.serve.service import ScoringService, ServiceConfig
@@ -46,9 +40,6 @@ __all__ = [
     "BundleManifest",
     "Deadline",
     "DomainScorer",
-    "FAULT_SITES",
-    "FaultInjector",
-    "MicroBatcher",
     "ModelBundle",
     "ModelRegistry",
     "ScoringService",

@@ -34,6 +34,7 @@ from repro.core.persistence import (
     load_scaler,
     save_classifier,
     save_scaler,
+    sha256_file,
     write_arrays,
 )
 from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
@@ -56,15 +57,6 @@ MANIFEST_FILENAME = "manifest.json"
 _CLASSIFIER_FILE = "classifier.npz"
 _FEATURES_FILE = "features.npz"
 _SCALER_FILE = "scaler.npz"
-
-
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, streamed in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(slots=True)
@@ -263,7 +255,7 @@ class ModelBundle:
             save_scaler(self.scaler, directory / _SCALER_FILE)
             artifacts.append(_SCALER_FILE)
         self.manifest.files = {
-            name: _sha256(directory / name) for name in artifacts
+            name: sha256_file(directory / name) for name in artifacts
         }
         (directory / MANIFEST_FILENAME).write_text(
             self.manifest.to_json(), encoding="utf-8"
@@ -291,7 +283,7 @@ class ModelBundle:
                 raise ArtifactIntegrityError(
                     f"bundle artifact missing: {artifact}"
                 )
-            actual = _sha256(artifact)
+            actual = sha256_file(artifact)
             if actual != expected:
                 raise ArtifactIntegrityError(
                     f"checksum mismatch for {artifact}: "

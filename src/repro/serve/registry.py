@@ -1,4 +1,4 @@
-"""Versioned on-disk model registry with atomic publish and hot swap.
+"""Versioned on-disk model registry with atomic publish.
 
 A registry root holds numbered slots::
 
@@ -12,12 +12,8 @@ the root and then ``os.rename``-s it into its slot: readers either see a
 complete, checksummed bundle or no slot at all — never a half-written
 one. The ``CURRENT`` pointer is likewise replaced atomically
 (write-temp + ``os.replace``), so a crash mid-publish leaves the
-previous version live.
-
-In-process, :meth:`ModelRegistry.activate` loads a version and swaps it
-into the :attr:`~ModelRegistry.active` slot with a single reference
-assignment — readers on other threads take a consistent
-``(version, bundle)`` snapshot without any lock.
+previous version live. Swapping a loaded version into service is
+:meth:`repro.serve.service.ScoringService.reload`'s job.
 """
 
 from __future__ import annotations
@@ -50,8 +46,6 @@ class ModelRegistry:
         # Serializes publishers in this process; cross-process races are
         # handled by the rename-retry loop in publish().
         self._publish_lock = threading.Lock()
-        # The hot-swap slot: assigned in one shot, read in one shot.
-        self._active: tuple[int, ModelBundle] | None = None
 
     # ------------------------------------------------------------------
     # Disk layout
@@ -164,33 +158,3 @@ class ModelRegistry:
                 f"no published model versions under {self.root}"
             )
         return ModelBundle.load(self.slot_path(resolved))
-
-    # ------------------------------------------------------------------
-    # In-process hot swap
-
-    def activate(self, version: int | None = None) -> int:
-        """Load a version and make it the active bundle (atomic swap).
-
-        Readers holding the previous ``active`` snapshot keep using it
-        untouched; new readers see the new version. No locks are taken
-        on the read path.
-        """
-        resolved = version if version is not None else self.latest_version()
-        if resolved is None:
-            raise DatasetError(
-                f"no published model versions under {self.root}"
-            )
-        bundle = ModelBundle.load(self.slot_path(resolved))
-        self._active = (resolved, bundle)
-        return resolved
-
-    @property
-    def active(self) -> tuple[int, ModelBundle] | None:
-        """A consistent ``(version, bundle)`` snapshot, or ``None``."""
-        return self._active
-
-    @property
-    def active_version(self) -> int | None:
-        """Version of the active bundle, or ``None``."""
-        snapshot = self._active
-        return snapshot[0] if snapshot is not None else None

@@ -22,10 +22,6 @@ Operational guarantees:
   for a slot, excess load is shed with ``429`` + ``Retry-After``, and a
   request that cannot be served within ``deadline_seconds`` gets a
   ``503`` instead of a stale answer;
-* with ``batch_window_seconds > 0`` concurrent small requests coalesce
-  through a :class:`~repro.serve.batcher.MicroBatcher` into one
-  vectorized ``score_batch`` call (the same bytes as one direct call
-  over the coalesced requests, better throughput);
 * failures degrade instead of cascading: scorer exceptions come back as
   structured JSON ``500`` bodies, reload failures retry with backoff
   and leave the last-good model serving, and a client that disconnects
@@ -65,8 +61,6 @@ from repro.serve.admission import (
     AdmissionController,
     Deadline,
 )
-from repro.serve.batcher import MicroBatcher
-from repro.serve.faults import FaultInjector
 from repro.serve.registry import ModelRegistry
 from repro.serve.scorer import UNKNOWN_POLICIES, DomainScorer, Verdict
 
@@ -93,10 +87,6 @@ class ServiceConfig:
             excess load is shed with 429.
         deadline_seconds: Per-request budget; a request still queued (or
             not yet scored) when it expires gets a 503.
-        batch_window_seconds: Micro-batching window — concurrent
-            ``/v1/score`` requests arriving within it are scored in one
-            vectorized call. 0 (the default) disables batching.
-        batch_max_size: Domains per micro-batch before an early flush.
         reload_retries: Extra load attempts before a reload gives up
             and the last-good model stays active.
         reload_backoff_seconds: Base sleep between reload attempts
@@ -113,8 +103,6 @@ class ServiceConfig:
     max_inflight: int = 8
     queue_depth: int = 32
     deadline_seconds: float = 5.0
-    batch_window_seconds: float = 0.0
-    batch_max_size: int = 256
     reload_retries: int = 2
     reload_backoff_seconds: float = 0.05
 
@@ -130,6 +118,8 @@ class ServiceConfig:
             raise ValueError("max_request_bytes must be positive")
         if self.request_timeout_seconds <= 0:
             raise ValueError("request_timeout_seconds must be positive")
+        if self.cache_size < 0:
+            raise ValueError("cache_size must be non-negative")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if self.unknown_policy not in UNKNOWN_POLICIES:
@@ -142,10 +132,6 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 0")
         if self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
-        if self.batch_window_seconds < 0:
-            raise ValueError("batch_window_seconds must be >= 0")
-        if self.batch_max_size < 1:
-            raise ValueError("batch_max_size must be positive")
         if self.reload_retries < 0:
             raise ValueError("reload_retries must be >= 0")
         if self.reload_backoff_seconds < 0:
@@ -173,29 +159,16 @@ class ScoringService:
         registry: ModelRegistry,
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        faults: FaultInjector | None = None,
     ) -> None:
         self.registry = registry
         self.config = config or ServiceConfig()
         self.config.validate()
         self._metrics = metrics if metrics is not None else default_registry()
-        #: Test-only fault hooks (inert unless a test arms a site).
-        self.faults = (
-            faults if faults is not None else FaultInjector(self._metrics)
-        )
         self._admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             queue_depth=self.config.queue_depth,
             metrics=self._metrics,
         )
-        self._batcher: MicroBatcher[int, Verdict] | None = None
-        if self.config.batch_window_seconds > 0:
-            self._batcher = MicroBatcher(
-                self._score_flush,
-                window_seconds=self.config.batch_window_seconds,
-                max_batch=self.config.batch_max_size,
-                metrics=self._metrics,
-            )
         # Serializes load-and-swap: without it two concurrent reloads
         # can interleave so the older bundle wins the assignment while
         # the gauge reports the newer one.
@@ -274,7 +247,6 @@ class ScoringService:
         attempts = self.config.reload_retries + 1
         for attempt in range(1, attempts + 1):
             try:
-                self.faults.fire("registry.load")
                 return self.registry.load(version)
             except (ArtifactIntegrityError, DatasetError) as exc:
                 self._metrics.counter("serve.reload_failures").inc()
@@ -421,19 +393,10 @@ class ScoringService:
             self._admission.release(time.perf_counter() - started)
 
     def _score(self, domains: list[str]) -> tuple[int, list[Verdict]]:
-        """Score through the micro-batcher when one is configured."""
-        batcher = self._batcher
-        if batcher is not None:
-            version, sliced = batcher.submit(domains)
-            return version, sliced
-        return self._score_flush(list(domains))
-
-    def _score_flush(self, domains: list[str]) -> tuple[int, list[Verdict]]:
         """One vectorized scoring pass on a consistent model snapshot."""
         active = self._active
         if active is None:
             raise DatasetError("no model loaded")
-        self.faults.fire("scorer.score_batch")
         return active.version, active.scorer.score_batch(domains)
 
     def handle_reload(

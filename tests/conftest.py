@@ -6,6 +6,9 @@ are session-scoped: many test modules read them, none mutates them.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -93,3 +96,37 @@ def make_bundle():
         )
 
     return _make
+
+
+@pytest.fixture()
+def patch_scoring(monkeypatch):
+    """Wrap ``DomainScorer.score_batch`` so serving tests can slow it
+    down or break it.
+
+    ``patch_scoring(latency=..., error=..., times=...)`` makes the first
+    ``times`` calls (every call when ``None``) sleep ``latency`` seconds
+    and then raise ``error`` if one is given; other calls score
+    normally. The original method comes back at test teardown.
+    """
+    from repro.serve import DomainScorer
+
+    original = DomainScorer.score_batch
+
+    def _patch(latency=0.0, error=None, times=None):
+        lock = threading.Lock()
+        remaining = [times]
+
+        def score_batch(self, domains):
+            with lock:
+                armed = remaining[0] is None or remaining[0] > 0
+                if armed and remaining[0] is not None:
+                    remaining[0] -= 1
+            if armed:
+                time.sleep(latency)
+                if error is not None:
+                    raise error
+            return original(self, domains)
+
+        monkeypatch.setattr(DomainScorer, "score_batch", score_batch)
+
+    return _patch

@@ -378,7 +378,7 @@ class TestServeCommand:
         [
             (["--max-inflight", "0"], "max_inflight"),
             (["--queue-depth", "-1"], "queue_depth"),
-            (["--batch-window-ms", "-5"], "batch_window_seconds"),
+            (["--cache-size", "-1"], "cache_size"),
             (["--deadline-ms", "0"], "deadline_seconds"),
             (["--port", "70000"], "port"),
             (["--host", "  "], "host"),

@@ -22,6 +22,7 @@ from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
 from repro.embedding.line import LineConfig
+from repro.errors import DnsLogFormatError
 from repro.ingest import (
     CheckpointedPipeline,
     ChunkPolicy,
@@ -273,3 +274,27 @@ class TestKillAndResume:
         assert resumed.resumed_from == "ingest"
         assert resumed.domains == domains_ref
         assert np.array_equal(resumed.scores, scores)
+
+
+class TestMalformedTrace:
+    def test_nul_in_trace_fails_the_cold_run_not_the_resume(self, tmp_path):
+        """Trace fields are kept verbatim, and numpy string arrays drop
+        trailing NULs: ``10.0.0.1\\x00`` would be checkpointed as a second
+        ``10.0.0.1`` and only the resume would trip over it. The cold
+        run refuses the line instead, naming it."""
+        trace = tmp_path / "dns.log"
+        trace.write_text(
+            "Q\t1.000\t1\t10.0.0.1\ta.example.com\tA\n"
+            "Q\t2.000\t2\t10.0.0.1\x00\tb.example.com\tA\n"
+        )
+        pipeline = CheckpointedPipeline(
+            _CONFIG,
+            IngestConfig(
+                chunk=ChunkPolicy(max_records=1), checkpoint_every_chunks=1
+            ),
+            PipelineCheckpointer(tmp_path / "checkpoints", "fp"),
+        )
+        with pytest.raises(DnsLogFormatError) as excinfo:
+            pipeline.run(trace, lambda domains: None)
+        assert excinfo.value.line_number == 2
+        assert "NUL" in excinfo.value.reason

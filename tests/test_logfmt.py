@@ -160,6 +160,8 @@ class TestParseErrors:
             "R\t1.0\t5\t10.0.0.1\texample.com\tA:1.2.3.4",  # bad answer
             "R\t1.0\t5\t10.0.0.1\texample.com\tA:1.2.3.4:-1",  # bad ttl
             "X\t1.0\t5\t10.0.0.1\texample.com\tA",  # unknown kind
+            "Q\t1.0\t5\t10.0.0.1\x00\texample.com\tA",  # NUL in a field
+            "R\t1.0\t5\t10.0.0.1\texample.com\tA:1.2.3.4\x00:60",  # NUL
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line):
@@ -244,6 +246,9 @@ _MUTATIONS = {
     "negative_ttl": (_response_line, _answer(
         ttl=st.integers(max_value=-1)
     ).map(lambda v: _set(5, v))),
+    "nul_byte": (_record_line, st.sampled_from([3, 4, 5]).map(
+        lambda i: lambda f: _set(i, "\x00" + f[i])(f)
+    )),
     "unknown_kind": (_record_line, st.sampled_from(
         ["X", "q", "r", "QR", ""]
     ).map(lambda v: _set(0, v))),

@@ -1,5 +1,10 @@
-"""Fault-injection tests: the injector itself, and the degradation
-paths it exists to exercise (reload fallback, scorer-failure 500s)."""
+"""Degradation paths of the scoring service under failing doubles:
+reload fallback to the last-good model, and scorer-failure 500s.
+
+The faults come from doubles that live only in tests: a registry whose
+``load`` raises, and the ``patch_scoring`` fixture's slow or raising
+``DomainScorer.score_batch``.
+"""
 
 import http.client
 import json
@@ -10,12 +15,23 @@ import pytest
 
 from repro.errors import ArtifactIntegrityError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import (
-    FaultInjector,
-    ModelRegistry,
-    ScoringService,
-    ServiceConfig,
-)
+from repro.serve import ModelRegistry, ScoringService, ServiceConfig
+
+
+class FailingLoadRegistry(ModelRegistry):
+    """A registry whose next ``failures`` loads raise a torn-bundle
+    error (every load when ``failures`` is ``None``)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.failures = 0
+
+    def load(self, version=None):
+        if self.failures is None or self.failures > 0:
+            if self.failures is not None:
+                self.failures -= 1
+            raise ArtifactIntegrityError("torn bundle")
+        return super().load(version)
 
 
 def _request(port, method, path, body=None):
@@ -29,70 +45,9 @@ def _request(port, method, path, body=None):
         connection.close()
 
 
-class TestInjector:
-    def test_unarmed_site_is_a_noop(self):
-        injector = FaultInjector(MetricsRegistry())
-        injector.fire("registry.load")  # no rule: nothing happens
-
-    def test_error_rule_fires_exact_count(self):
-        metrics = MetricsRegistry()
-        injector = FaultInjector(metrics)
-        injector.inject(
-            "scorer.score_batch", error=RuntimeError("boom"), times=2
-        )
-        for __ in range(2):
-            with pytest.raises(RuntimeError, match="boom"):
-                injector.fire("scorer.score_batch")
-        injector.fire("scorer.score_batch")  # disarmed after 2 firings
-        assert not injector.armed("scorer.score_batch")
-        assert metrics.counter("serve.faults.fired").value == 2
-
-    def test_unlimited_rule_until_cleared(self):
-        injector = FaultInjector(MetricsRegistry())
-        injector.inject(
-            "registry.load", error=ArtifactIntegrityError("torn"), times=None
-        )
-        for __ in range(5):
-            with pytest.raises(ArtifactIntegrityError):
-                injector.fire("registry.load")
-        injector.clear("registry.load")
-        injector.fire("registry.load")
-
-    def test_latency_rule_sleeps(self):
-        injector = FaultInjector(MetricsRegistry())
-        injector.inject("scorer.score_batch", latency_seconds=0.05)
-        started = time.perf_counter()
-        injector.fire("scorer.score_batch")
-        assert time.perf_counter() - started >= 0.045
-
-    def test_each_firing_raises_a_fresh_exception(self):
-        injector = FaultInjector(MetricsRegistry())
-        template = RuntimeError("shared")
-        injector.inject("scorer.score_batch", error=template, times=2)
-        caught = []
-        for __ in range(2):
-            try:
-                injector.fire("scorer.score_batch")
-            except RuntimeError as exc:
-                caught.append(exc)
-        assert caught[0] is not caught[1]
-        assert caught[0] is not template
-
-    def test_validation(self):
-        injector = FaultInjector(MetricsRegistry())
-        with pytest.raises(ValueError, match="unknown fault site"):
-            injector.inject("nope", error=RuntimeError())
-        with pytest.raises(ValueError, match="times"):
-            injector.inject("registry.load", error=RuntimeError(), times=0)
-        with pytest.raises(ValueError, match="latency_seconds"):
-            injector.inject("registry.load", latency_seconds=-1.0)
-        with pytest.raises(ValueError, match="error, a latency"):
-            injector.inject("registry.load")
-
-
 @pytest.fixture()
 def faulty_service(make_bundle, tmp_path):
-    registry = ModelRegistry(tmp_path / "models")
+    registry = FailingLoadRegistry(tmp_path / "models")
     registry.publish(make_bundle(seed=1))
     metrics = MetricsRegistry()
     config = ServiceConfig(
@@ -113,11 +68,7 @@ class TestReloadDegradation:
         serving: /readyz stays 200, the failure is a structured 409."""
         service, registry, port, metrics, make_bundle = faulty_service
         registry.publish(make_bundle(seed=2))
-        service.faults.inject(
-            "registry.load",
-            error=ArtifactIntegrityError("torn bundle"),
-            times=None,
-        )
+        registry.failures = None
         status, body = _request(port, "POST", "/admin/reload", {})
         assert status == 409
         assert "torn bundle" in body["error"]
@@ -130,6 +81,7 @@ class TestReloadDegradation:
             200, {"ready": True, "model_version": 1}
         )
         # Scoring still answers on the last-good model.
+        registry.failures = 0
         domain = registry.load(1).domains[0]
         status, body = _request(
             port, "POST", "/v1/score", {"domain": domain}
@@ -141,11 +93,7 @@ class TestReloadDegradation:
         """A fault that clears within the retry budget never surfaces."""
         service, registry, port, metrics, make_bundle = faulty_service
         registry.publish(make_bundle(seed=2))
-        service.faults.inject(
-            "registry.load",
-            error=ArtifactIntegrityError("transient"),
-            times=2,
-        )
+        registry.failures = 2
         status, body = _request(port, "POST", "/admin/reload", {})
         assert status == 200
         assert body["model_version"] == 2
@@ -154,7 +102,7 @@ class TestReloadDegradation:
     def test_reload_backoff_applied_between_attempts(
         self, make_bundle, tmp_path
     ):
-        registry = ModelRegistry(tmp_path / "models")
+        registry = FailingLoadRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))
         service = ScoringService(
             registry,
@@ -163,11 +111,7 @@ class TestReloadDegradation:
             ),
             metrics=MetricsRegistry(),
         )
-        service.faults.inject(
-            "registry.load",
-            error=ArtifactIntegrityError("torn"),
-            times=None,
-        )
+        registry.failures = None
         started = time.perf_counter()
         with pytest.raises(ArtifactIntegrityError):
             service.reload()
@@ -176,14 +120,13 @@ class TestReloadDegradation:
 
 
 class TestScorerDegradation:
-    def test_scorer_fault_mid_burst_is_a_structured_500(self, faulty_service):
+    def test_scorer_fault_mid_burst_is_a_structured_500(
+        self, faulty_service, patch_scoring
+    ):
         """One poisoned request answers 500 JSON; neighbors are fine."""
-        service, registry, port, metrics, __ = faulty_service
+        __, registry, port, metrics, __ = faulty_service
         domains = registry.load(1).domains
-        service.faults.inject(
-            "scorer.score_batch", error=RuntimeError("cache poisoned"),
-            times=1,
-        )
+        patch_scoring(error=RuntimeError("cache poisoned"), times=1)
         statuses = []
         bodies = []
         lock = threading.Lock()
@@ -218,9 +161,9 @@ class TestScorerDegradation:
         assert status == 200
 
     def test_injected_latency_holds_admission_slots(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
-        """Latency faults make overload observable: with the single slot
+        """A slow scorer makes overload observable: with the single slot
         pinned and the queue full, the next request is shed with 429."""
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))
@@ -235,9 +178,7 @@ class TestScorerDegradation:
         )
         __, port = service.start()
         try:
-            service.faults.inject(
-                "scorer.score_batch", latency_seconds=0.5, times=None
-            )
+            patch_scoring(latency=0.5)
             results = {}
 
             def holder():
@@ -257,7 +198,6 @@ class TestScorerDegradation:
                 port, "POST", "/v1/score", {"domain": "s.example"}
             )
             thread.join()
-            service.faults.clear()
             assert status == 429
             assert "retry_after_seconds" in body
             assert results["holder"][0] == 200

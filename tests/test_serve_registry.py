@@ -1,11 +1,13 @@
-"""Tests for the versioned model registry (atomic publish, hot swap)."""
+"""Tests for the versioned model registry (atomic publish) and the hot
+swap of its versions into the scoring service."""
 
 import threading
 
 import pytest
 
 from repro.errors import DatasetError
-from repro.serve import ModelRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import ModelRegistry, ScoringService, ServiceConfig
 from repro.serve.registry import CURRENT_FILENAME
 
 
@@ -82,41 +84,53 @@ class TestLoad:
 
 
 class TestHotSwap:
+    """Swapping a published version into service is
+    ``ScoringService.reload``'s job; the registry only stores versions."""
+
+    @staticmethod
+    def _service(registry):
+        return ScoringService(
+            registry, ServiceConfig(port=0), metrics=MetricsRegistry()
+        )
+
     def test_activate_latest(self, make_bundle, tmp_path):
         registry = ModelRegistry(tmp_path / "models")
-        assert registry.active is None
-        assert registry.active_version is None
+        service = self._service(registry)
+        assert service.active_version is None
         registry.publish(make_bundle(seed=1))
-        assert registry.activate() == 1
-        version, bundle = registry.active
-        assert version == 1
-        assert bundle.manifest.config_fingerprint == "fp-1"
+        assert service.reload() == 1
+        assert service.active_version == 1
+        status, body, __ = service.handle_score({"domain": "d1-0.example"})
+        assert status == 200
+        assert body["model_version"] == 1
+        assert body["results"][0]["known"] is True
 
     def test_activate_empty_registry_raises(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "models")
-        with pytest.raises(DatasetError):
-            registry.activate()
+        service = self._service(ModelRegistry(tmp_path / "models"))
+        with pytest.raises(DatasetError, match="no published"):
+            service.reload()
+        assert not service.ready
 
     def test_concurrent_swap_readers_never_see_torn_state(
         self, make_bundle, tmp_path
     ):
-        """Readers under continuous hot swap always observe a matched
-        (version, bundle) pair — fingerprint "fp-N" belongs to vN."""
+        """Readers under continuous hot swap always score on one whole
+        model: the version a response reports is the one whose domains
+        it knows (bundle N holds the names ``dN-*.example``)."""
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))
-        registry.activate()
+        service = self._service(registry)
+        probes = [f"d{seed}-0.example" for seed in range(1, 7)]
         stop = threading.Event()
-        torn: list[tuple[int, str]] = []
+        torn: list[tuple[int, list[bool]]] = []
 
         def reader() -> None:
             while not stop.is_set():
-                snapshot = registry.active
-                if snapshot is None:
-                    continue
-                version, bundle = snapshot
-                fingerprint = bundle.manifest.config_fingerprint
-                if fingerprint != f"fp-{version}":
-                    torn.append((version, fingerprint))
+                __, body, __ = service.handle_score({"domains": probes})
+                version = body["model_version"]
+                known = [result["known"] for result in body["results"]]
+                if known != [seed == version for seed in range(1, 7)]:
+                    torn.append((version, known))
                     return
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
@@ -126,10 +140,10 @@ class TestHotSwap:
             for seed in range(2, 7):
                 version = registry.publish(make_bundle(seed=seed))
                 assert version == seed
-                registry.activate(version)
+                service.reload(version)
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
         assert torn == []
-        assert registry.active_version == 6
+        assert service.active_version == 6

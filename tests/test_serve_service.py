@@ -270,6 +270,8 @@ class TestLifecycle:
             ServiceConfig(request_timeout_seconds=0).validate()
         with pytest.raises(ValueError):
             ServiceConfig(max_batch_size=0).validate()
+        with pytest.raises(ValueError, match="cache_size"):
+            ServiceConfig(cache_size=-1).validate()
         with pytest.raises(ValueError):
             ServiceConfig(unknown_policy="bogus").validate()
 
@@ -291,10 +293,6 @@ class TestLifecycle:
             ServiceConfig(queue_depth=-1).validate()
         with pytest.raises(ValueError, match="deadline_seconds"):
             ServiceConfig(deadline_seconds=0).validate()
-        with pytest.raises(ValueError, match="batch_window_seconds"):
-            ServiceConfig(batch_window_seconds=-0.001).validate()
-        with pytest.raises(ValueError, match="batch_max_size"):
-            ServiceConfig(batch_max_size=0).validate()
         with pytest.raises(ValueError, match="reload_retries"):
             ServiceConfig(reload_retries=-1).validate()
         with pytest.raises(ValueError, match="reload_backoff_seconds"):
@@ -322,12 +320,10 @@ class TestAdmissionOverHttp:
         __, port = service.start()
         return service, port, metrics
 
-    def _hold_slot(self, service, metrics, port, seconds):
-        """Occupy the single scoring slot with an injected-latency
-        request on a background thread; wait until it is in flight."""
-        service.faults.inject(
-            "scorer.score_batch", latency_seconds=seconds, times=1
-        )
+    def _hold_slot(self, patch_scoring, metrics, port, seconds):
+        """Occupy the single scoring slot with a slowed-down request on
+        a background thread; wait until it is in flight."""
+        patch_scoring(latency=seconds, times=1)
         result = {}
 
         def holder():
@@ -347,13 +343,13 @@ class TestAdmissionOverHttp:
         return thread, result
 
     def test_excess_load_shed_with_429_and_retry_after(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         service, port, metrics = self._overloaded_service(
             make_bundle, tmp_path
         )
         try:
-            thread, held = self._hold_slot(service, metrics, port, 0.5)
+            thread, held = self._hold_slot(patch_scoring, metrics, port, 0.5)
             status, body, headers = _request_with_headers(
                 port, "POST", "/v1/score", {"domain": "shed.example"}
             )
@@ -369,13 +365,13 @@ class TestAdmissionOverHttp:
             service.stop()
 
     def test_deadline_exceeded_while_queued_is_503(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         service, port, metrics = self._overloaded_service(
             make_bundle, tmp_path, queue_depth=4, deadline_seconds=0.2
         )
         try:
-            thread, held = self._hold_slot(service, metrics, port, 0.8)
+            thread, held = self._hold_slot(patch_scoring, metrics, port, 0.8)
             started = time.perf_counter()
             status, body = _request(
                 port, "POST", "/v1/score", {"domain": "late.example"}
@@ -392,14 +388,14 @@ class TestAdmissionOverHttp:
             service.stop()
 
     def test_health_endpoints_not_gated_by_admission(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         """Probes must answer even when scoring is saturated."""
         service, port, metrics = self._overloaded_service(
             make_bundle, tmp_path
         )
         try:
-            thread, __ = self._hold_slot(service, metrics, port, 0.5)
+            thread, __ = self._hold_slot(patch_scoring, metrics, port, 0.5)
             assert _request(port, "GET", "/healthz")[0] == 200
             assert _request(port, "GET", "/readyz")[0] == 200
             assert _request(port, "GET", "/metrics")[0] == 200
@@ -408,13 +404,13 @@ class TestAdmissionOverHttp:
             service.stop()
 
     def test_malformed_requests_do_not_consume_slots(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         service, port, metrics = self._overloaded_service(
             make_bundle, tmp_path
         )
         try:
-            thread, __ = self._hold_slot(service, metrics, port, 0.5)
+            thread, __ = self._hold_slot(patch_scoring, metrics, port, 0.5)
             # Validation rejects these before admission: 400, not 429.
             assert _request(port, "POST", "/v1/score", {})[0] == 400
             assert (
@@ -427,69 +423,9 @@ class TestAdmissionOverHttp:
             service.stop()
 
 
-class TestMicroBatchingOverHttp:
-    def test_concurrent_requests_coalesce_and_map_back(
-        self, make_bundle, tmp_path
-    ):
-        registry = ModelRegistry(tmp_path / "models")
-        registry.publish(make_bundle(seed=3))
-        metrics = MetricsRegistry()
-        service = ScoringService(
-            registry,
-            ServiceConfig(
-                port=0,
-                batch_window_seconds=0.05,
-                batch_max_size=256,
-                max_inflight=16,
-                queue_depth=32,
-                request_timeout_seconds=10.0,
-            ),
-            metrics=metrics,
-        )
-        __, port = service.start()
-        try:
-            domains = registry.load(1).domains[:8]
-            barrier = threading.Barrier(len(domains))
-            outputs = {}
-            lock = threading.Lock()
-
-            def client(domain):
-                barrier.wait()
-                status, body = _request(
-                    port, "POST", "/v1/score", {"domain": domain}
-                )
-                with lock:
-                    outputs[domain] = (status, body)
-
-            threads = [
-                threading.Thread(target=client, args=(d,)) for d in domains
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for domain in domains:
-                status, body = outputs[domain]
-                assert status == 200
-                assert body["results"][0]["domain"] == domain
-                assert body["results"][0]["known"] is True
-            # Coalescing happened: fewer flushes than requests.
-            flushes = metrics.counter("serve.batch.flushes").value
-            assert 1 <= flushes < len(domains)
-            # Verdicts are cached per domain, so a repeat query returns
-            # the same bytes the batched pass produced.
-            for domain in domains:
-                status, body = _request(
-                    port, "POST", "/v1/score", {"domain": domain}
-                )
-                assert body["results"][0] == outputs[domain][1]["results"][0]
-        finally:
-            service.stop()
-
-
 class TestClientDisconnects:
     def test_mid_response_disconnect_counted_not_crashed(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))
@@ -504,9 +440,7 @@ class TestClientDisconnects:
             # Slow the scorer so the client can vanish before the
             # response write; SO_LINGER(0) turns close() into an RST so
             # the server's write genuinely fails.
-            service.faults.inject(
-                "scorer.score_batch", latency_seconds=0.3, times=1
-            )
+            patch_scoring(latency=0.3, times=1)
             requests_before = metrics.counter("serve.requests").value
             errors_before = metrics.counter("serve.errors").value
             sock = socket.create_connection(("127.0.0.1", port), timeout=5)
@@ -587,12 +521,14 @@ class TestConcurrentReload:
 @pytest.mark.slow
 class TestClosedLoopLoad:
     def test_32_clients_against_one_slot_never_hang_or_crash(
-        self, make_bundle, tmp_path
+        self, make_bundle, tmp_path, patch_scoring
     ):
         """The acceptance scenario: a 32-client closed loop against
         ``max_inflight=1`` always gets an orderly answer — 200 within
         the deadline, 429 with Retry-After, or 503 on deadline — and
         the service stays healthy throughout."""
+        # Each score holds the slot for 5 ms, so 32 clients outrun it.
+        patch_scoring(latency=0.005)
         registry = ModelRegistry(tmp_path / "models")
         bundle = make_bundle(seed=9, count=64)
         registry.publish(bundle)
@@ -604,8 +540,6 @@ class TestClosedLoopLoad:
                 max_inflight=1,
                 queue_depth=4,
                 deadline_seconds=2.0,
-                batch_window_seconds=0.002,
-                batch_max_size=256,
                 request_timeout_seconds=10.0,
             ),
             metrics=metrics,
