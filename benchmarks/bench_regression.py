@@ -368,9 +368,10 @@ def _bench_engine_overhead(trace, repeats: int) -> dict[str, float]:
     """Stage-graph dispatch tax: engine run vs direct graph-layer calls.
 
     Times prune -> project twice over the same prebuilt raw graphs —
-    once through ``StageGraph.execute`` (DAG validation, policy checks,
-    artifact-store traffic, spans) and once as direct calls into the
-    graph layer — and reports the difference. This is the abstraction
+    once through ``StageGraph.execute`` (DAG validation, the loop's
+    activity and checkpoint checks, artifact-store traffic, spans) and
+    once as direct calls into the graph layer — and reports the
+    difference. This is the abstraction
     cost the typed engine adds per pipeline run; ``run_benchmark``
     asserts it stays under 2% of the end-to-end stage time.
     """
@@ -381,7 +382,7 @@ def _bench_engine_overhead(trace, repeats: int) -> dict[str, float]:
         PruneStage,
     )
     from repro.core.pipeline import PipelineConfig
-    from repro.core.stages import ArtifactStore, BatchPolicy, StageGraph
+    from repro.core.stages import ArtifactStore, StageGraph
     from repro.graphs import (
         VertexTable,
         build_domain_ip_graph,
@@ -403,7 +404,7 @@ def _bench_engine_overhead(trace, repeats: int) -> dict[str, float]:
         store = ArtifactStore()
         store.put(RAW_GRAPHS, (host, ips, times))
         store.put(RECORDS_INGESTED, len(trace.queries))
-        graph.execute(store, BatchPolicy())
+        graph.execute(store)
 
     def _direct():
         pruned_host, pruned_ip, pruned_time, report = prune_graphs(
@@ -433,6 +434,7 @@ def _stage_seconds(snapshot: dict) -> dict[str, float]:
 
 def run_benchmark(args: argparse.Namespace) -> dict:
     """One full measurement pass; returns the result document."""
+    from repro.core.dataflow import line_config_for
     from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
     from repro.embedding.line import LineConfig
     from repro.labels import (
@@ -517,7 +519,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     # tentpole claim this file exists to track. Best-of-N timings; the
     # last run of each mode is kept for the equality assertion.
     views = [
-        (view.value, graph, detector._line_config_for(view))
+        (view.value, graph, line_config_for(detector.config.embedding, view))
         for view, graph in detector.similarity_graphs.items()
     ]
     serial_config = ParallelConfig(workers=0)

@@ -33,12 +33,12 @@ to pay for a pool). ``--workers 0`` forces serial training and
 byte-identical to the serial run for the same seed (see
 docs/parallelism.md). The library's own default stays serial.
 
-Out-of-core ingestion: ``detect`` and ``cluster`` accept
-``--chunk-records`` / ``--chunk-seconds`` to stream the trace in
-bounded batches instead of materializing it, ``--checkpoint-dir`` to
-persist a resumable checkpoint after every pipeline stage, and
-``--resume`` to continue a crashed run from its last complete stage —
-with outputs byte-identical to a monolithic cold run (see
+Out-of-core ingestion: ``detect`` and ``cluster`` always stream the
+trace in bounded chunks through one stage graph; ``--chunk-records`` /
+``--chunk-seconds`` bound each chunk, ``--checkpoint-dir`` persists a
+resumable checkpoint after every pipeline stage, and ``--resume``
+continues a crashed run from its last complete stage — with outputs
+byte-identical to an uninterrupted cold run at any chunk size (see
 docs/ingestion.md).
 """
 
@@ -56,20 +56,14 @@ import numpy as np
 from repro import __version__
 from repro.analysis.reporting import format_series_table
 from repro.analysis.stats import compute_traffic_statistics
-from repro.core.clustering import DomainClusterer
 from repro.core.dataflow import detection_graph
 from repro.core.detector import ClassifierConfig
 from repro.ml.svm import DEFAULT_CACHE_MB
-from repro.core.pipeline import (
-    STAGE_CLUSTER,
-    MaliciousDomainDetector,
-    PipelineConfig,
-)
+from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.core.stages import span_name
-from repro.obs.tracing import trace
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
-from repro.dns.types import DnsQuery, DnsResponse
+from repro.dns.types import DnsQuery
 from repro.embedding.line import LineConfig
 from repro.errors import ArtifactIntegrityError
 from repro.ingest import (
@@ -179,20 +173,22 @@ def _emit_observability(args: argparse.Namespace) -> None:
         print(f"wrote metrics snapshot to {path}", file=sys.stderr)
 
 
-def _load_trace_dir(
+def _load_side_files(
     directory: Path,
-) -> tuple[
-    list[DnsQuery], list[DnsResponse], DhcpLog | None, GroundTruth | None
-]:
-    """Read (queries, responses, dhcp, truth-or-None) from a trace dir."""
-    records = list(DnsTraceReader(directory / "dns.log"))
-    queries = [r for r in records if isinstance(r, DnsQuery)]
-    responses = [r for r in records if isinstance(r, DnsResponse)]
+) -> tuple[DhcpLog | None, GroundTruth | None]:
+    """The trace dir's optional (dhcp.log, groundtruth.tsv), if present."""
     dhcp_path = directory / "dhcp.log"
     dhcp = DhcpLog.load(dhcp_path) if dhcp_path.exists() else None
     truth_path = directory / "groundtruth.tsv"
     truth = GroundTruth.load(truth_path) if truth_path.exists() else None
-    return queries, responses, dhcp, truth
+    return dhcp, truth
+
+
+def _dataset_for(truth: GroundTruth) -> Callable[[list[str]], LabeledDataset]:
+    """Label the surviving domains from the simulated intelligence feeds."""
+    feed = IntelligenceFeed(truth)
+    virustotal = SimulatedVirusTotal(truth)
+    return lambda domains: build_labeled_dataset(feed, virustotal, domains)
 
 
 def _parse_workers(value: str) -> int | str:
@@ -222,42 +218,14 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _build_detector(
-    args: argparse.Namespace,
-    queries: list[DnsQuery],
-    responses: list[DnsResponse],
-    dhcp: DhcpLog | None,
-) -> MaliciousDomainDetector:
-    detector = MaliciousDomainDetector(_pipeline_config(args))
-    report = detector.build_graphs(queries, responses, dhcp)
-    print(report.summary(), file=sys.stderr)
-    detector.build_similarity_graphs()
-    detector.learn_embeddings()
-    return detector
-
-
-def _chunked_requested(args: argparse.Namespace) -> bool:
-    """Whether any chunked-ingestion flag engages the out-of-core path."""
-    return (
-        getattr(args, "chunk_records", None) is not None
-        or getattr(args, "chunk_seconds", None) is not None
-        or getattr(args, "checkpoint_dir", None) is not None
-        or getattr(args, "resume", False)
-    )
-
-
 def _reject_ingest_args(args: argparse.Namespace) -> str | None:
     """Why the chunked-ingestion flags are inconsistent, or ``None``."""
-    if getattr(args, "resume", False) and not getattr(
-        args, "checkpoint_dir", None
-    ):
+    if args.resume and args.checkpoint_dir is None:
         return "--resume requires --checkpoint-dir"
-    chunk_records = getattr(args, "chunk_records", None)
-    if chunk_records is not None and chunk_records < 1:
-        return f"--chunk-records must be >= 1, got {chunk_records}"
-    chunk_seconds = getattr(args, "chunk_seconds", None)
-    if chunk_seconds is not None and chunk_seconds <= 0:
-        return f"--chunk-seconds must be positive, got {chunk_seconds}"
+    if args.chunk_records < 1:
+        return f"--chunk-records must be >= 1, got {args.chunk_records}"
+    if args.chunk_seconds is not None and args.chunk_seconds <= 0:
+        return f"--chunk-seconds must be positive, got {args.chunk_seconds}"
     return None
 
 
@@ -270,19 +238,16 @@ def _run_chunked_pipeline(
     cluster_k_max: int | None = None,
     cluster_seed: int = 0,
 ) -> PipelineOutcome | None:
-    """Run the memory-bounded chunked pipeline for detect / cluster.
+    """Run the pipeline for detect / cluster: chunked, checkpointed
+    only under ``--checkpoint-dir``.
 
     Returns ``None`` after printing a one-line error when ``--resume``
     meets a checkpoint that fails verification (for example one written
     under a different configuration).
     """
     config = _pipeline_config(args)
-    default_policy = ChunkPolicy()
     policy = ChunkPolicy(
-        max_records=args.chunk_records
-        if args.chunk_records is not None
-        else default_policy.max_records,
-        max_seconds=args.chunk_seconds,
+        max_records=args.chunk_records, max_seconds=args.chunk_seconds
     )
     dns_log = directory / "dns.log"
     checkpointer = None
@@ -343,7 +308,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     directory = _require_trace_dir(args)
     if directory is None:
         return 2
-    queries = _load_trace_dir(directory)[0]
+    queries = [
+        record
+        for record in DnsTraceReader(directory / "dns.log")
+        if isinstance(record, DnsQuery)
+    ]
     stats = compute_traffic_statistics(queries, bin_seconds=args.bin_seconds)
     print(
         format_series_table(
@@ -377,47 +346,20 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if ingest_error is not None:
         print(f"repro-dns detect: {ingest_error}", file=sys.stderr)
         return 2
-    if _chunked_requested(args):
-        dhcp_path = directory / "dhcp.log"
-        dhcp = DhcpLog.load(dhcp_path) if dhcp_path.exists() else None
-        truth_path = directory / "groundtruth.tsv"
-        truth = GroundTruth.load(truth_path) if truth_path.exists() else None
-        if truth is None:
-            print(
-                "detect requires groundtruth.tsv for the simulated label "
-                "feeds",
-                file=sys.stderr,
-            )
-            return 2
-        feed = IntelligenceFeed(truth)
-        virustotal = SimulatedVirusTotal(truth)
-        outcome = _run_chunked_pipeline(
-            args,
-            directory,
-            dhcp,
-            lambda ds: build_labeled_dataset(feed, virustotal, ds),
+    dhcp, truth = _load_side_files(directory)
+    if truth is None:
+        print(
+            "detect requires groundtruth.tsv for the simulated label feeds",
+            file=sys.stderr,
         )
-        if outcome is None:
-            return 2
-        detector = outcome.detector
-        domains = outcome.domains
-        scores = outcome.scores
-    else:
-        queries, responses, dhcp, truth = _load_trace_dir(directory)
-        if truth is None:
-            print(
-                "detect requires groundtruth.tsv for the simulated label "
-                "feeds",
-                file=sys.stderr,
-            )
-            return 2
-        detector = _build_detector(args, queries, responses, dhcp)
-        feed = IntelligenceFeed(truth)
-        virustotal = SimulatedVirusTotal(truth)
-        dataset = build_labeled_dataset(feed, virustotal, detector.domains)
-        detector.fit(dataset)
-        domains = detector.domains
-        scores = detector.decision_scores(domains)
+        return 2
+    outcome = _run_chunked_pipeline(
+        args, directory, dhcp, _dataset_for(truth)
+    )
+    if outcome is None:
+        return 2
+    domains = outcome.domains
+    scores = outcome.scores
 
     order = np.argsort(-scores)
     out_path = directory / "scores.tsv"
@@ -429,7 +371,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     for index in order[: args.top]:
         print(f"  {scores[index]:+8.3f}  {domains[int(index)]}")
     if model_outdir is not None:
-        _publish_model(detector, model_outdir)
+        _publish_model(outcome.detector, model_outdir)
     _emit_observability(args)
     return 0
 
@@ -445,63 +387,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if ingest_error is not None:
         print(f"repro-dns cluster: {ingest_error}", file=sys.stderr)
         return 2
-    if _chunked_requested(args):
-        dhcp_path = directory / "dhcp.log"
-        dhcp = DhcpLog.load(dhcp_path) if dhcp_path.exists() else None
-        truth_path = directory / "groundtruth.tsv"
-        truth = GroundTruth.load(truth_path) if truth_path.exists() else None
-        if model_outdir is not None and truth is None:
-            print(
-                "repro-dns cluster: --save-model requires groundtruth.tsv "
-                "to train the classifier",
-                file=sys.stderr,
-            )
-            return 2
-        dataset_for: Callable[[list[str]], LabeledDataset] | None = None
-        if truth is not None:
-            feed = IntelligenceFeed(truth)
-            virustotal = SimulatedVirusTotal(truth)
-            dataset_for = lambda ds: build_labeled_dataset(  # noqa: E731
-                feed, virustotal, ds
-            )
-        outcome = _run_chunked_pipeline(
-            args,
-            directory,
-            dhcp,
-            dataset_for,
-            cluster_k_max=args.k_max,
-            cluster_seed=args.seed,
-        )
-        if outcome is None:
-            return 2
-        detector = outcome.detector
-        clusters = outcome.clusters or []
-        print(f"{len(clusters)} clusters")
-        if truth is not None:
-            threatbook = SimulatedThreatBook(truth)
-            for cluster in clusters:
-                category, share = threatbook.dominant_category(
-                    cluster.domains
-                )
-                if category == "unknown":
-                    continue
-                members = cluster.domains
-                print(
-                    f"  cluster {cluster.cluster_id:3d}: {len(members):5d} "
-                    f"domains, {share:.0%} "
-                    f"{category}: {', '.join(members[:3])}..."
-                )
-        else:
-            for cluster in clusters:
-                print(
-                    f"  cluster {cluster.cluster_id:3d}: {len(cluster):5d} "
-                    f"domains: {', '.join(cluster.domains[:3])}..."
-                )
-        if model_outdir is not None and truth is not None:
-            _publish_model(detector, model_outdir)
-        _emit_observability(args)
-        return 0
-    queries, responses, dhcp, truth = _load_trace_dir(directory)
+    dhcp, truth = _load_side_files(directory)
     if model_outdir is not None and truth is None:
         print(
             "repro-dns cluster: --save-model requires groundtruth.tsv "
@@ -509,35 +395,38 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    detector = _build_detector(args, queries, responses, dhcp)
-    clusterer = DomainClusterer(k_min=4, k_max=args.k_max, seed=args.seed)
-    with trace(span_name(STAGE_CLUSTER)):
-        clusters = clusterer.fit(
-            detector.domains, detector.features_for(detector.domains)
-        )
+    outcome = _run_chunked_pipeline(
+        args,
+        directory,
+        dhcp,
+        None if truth is None else _dataset_for(truth),
+        cluster_k_max=args.k_max,
+        cluster_seed=args.seed,
+    )
+    if outcome is None:
+        return 2
+    clusters = outcome.clusters or []
     print(f"{len(clusters)} clusters")
     if truth is not None:
         threatbook = SimulatedThreatBook(truth)
-        for report in clusterer.annotate(threatbook):
-            if report.dominant_category == "unknown":
+        for cluster in clusters:
+            category, share = threatbook.dominant_category(cluster.domains)
+            if category == "unknown":
                 continue
-            members = report.cluster.domains
+            members = cluster.domains
             print(
-                f"  cluster {report.cluster.cluster_id:3d}: {len(members):5d} "
-                f"domains, {report.category_share:.0%} "
-                f"{report.dominant_category}: {', '.join(members[:3])}..."
+                f"  cluster {cluster.cluster_id:3d}: {len(members):5d} "
+                f"domains, {share:.0%} "
+                f"{category}: {', '.join(members[:3])}..."
             )
     else:
         for cluster in clusters:
             print(
-                f"  cluster {cluster.cluster_id:3d}: {len(cluster):5d} domains: "
-                f"{', '.join(cluster.domains[:3])}..."
+                f"  cluster {cluster.cluster_id:3d}: {len(cluster):5d} "
+                f"domains: {', '.join(cluster.domains[:3])}..."
             )
-    if model_outdir is not None and truth is not None:
-        feed = IntelligenceFeed(truth)
-        virustotal = SimulatedVirusTotal(truth)
-        detector.fit(build_labeled_dataset(feed, virustotal, detector.domains))
-        _publish_model(detector, model_outdir)
+    if model_outdir is not None:
+        _publish_model(outcome.detector, model_outdir)
     _emit_observability(args)
     return 0
 
@@ -664,12 +553,12 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
     """Chunked-ingestion / checkpointing flags shared by detect and cluster."""
-    parser.add_argument("--chunk-records", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--chunk-records", type=int,
+                        default=ChunkPolicy().max_records, metavar="N",
                         help="ingest the trace in bounded chunks of at most "
-                        "N records (memory stays bounded by the chunk size) "
-                        "instead of one in-memory pass; outputs are "
-                        "byte-identical either way")
+                        "N records, so memory stays bounded by the chunk "
+                        "size (default %(default)s); outputs are "
+                        "byte-identical for any N")
     parser.add_argument("--chunk-seconds", type=float, default=None,
                         metavar="S",
                         help="additionally bound each chunk to S seconds of "

@@ -5,8 +5,8 @@ Execution is organised as a typed stage graph (:mod:`repro.core.stages`)
 over the canonical detection dataflow (:mod:`repro.core.dataflow`); the
 batch facade (:class:`MaliciousDomainDetector`), the streaming layer
 (:class:`StreamingDetector`), and the checkpointed runner in
-:mod:`repro.ingest` all execute the same stage objects under different
-policies.
+:mod:`repro.ingest` all execute the same stage objects in the engine's
+one loop.
 """
 
 from repro.core.features import FeatureSpace, FeatureView
@@ -27,10 +27,7 @@ from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.core.stages import (
     ArtifactKey,
     ArtifactStore,
-    BatchPolicy,
-    CheckpointPolicy,
     ExecutionContext,
-    IncrementalPolicy,
     RunReport,
     Stage,
     StageGraph,
@@ -54,11 +51,8 @@ from repro.core.persistence import (
 __all__ = [
     "ArtifactKey",
     "ArtifactStore",
-    "BatchPolicy",
-    "CheckpointPolicy",
     "ExecutionContext",
     "IncrementalGraphBuilder",
-    "IncrementalPolicy",
     "PIPELINE_STAGES",
     "RunReport",
     "Stage",

@@ -16,8 +16,8 @@ pipeline step::
 :func:`detection_graph` assembles them into a validated
 :class:`~repro.core.stages.StageGraph`; the batch facade
 (:class:`~repro.core.pipeline.MaliciousDomainDetector`), the streaming
-refresh, and the checkpointed runner all execute this one graph under
-different policies. Each stage's ``save_artifacts`` /
+refresh, and the checkpointed runner all execute these stages through
+the engine's one loop. Each stage's ``save_artifacts`` /
 ``load_artifacts`` hooks reproduce the pre-engine checkpoint layout
 byte for byte, so existing checkpoint directories stay valid.
 
@@ -711,7 +711,7 @@ def detection_stages(
             uses.
         source: Ingest stage producing the raw graph triple, or ``None``
             when the caller seeds :data:`RAW_GRAPHS` into the store
-            (streaming refresh, ``adopt_graphs``).
+            (streaming refresh).
         dataset_for: Maps the surviving domain list to a labeled
             dataset; ``None`` leaves the classify stage inactive.
         score_all: Score every surviving domain after fitting (the

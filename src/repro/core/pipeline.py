@@ -9,12 +9,12 @@ Five stages, matching the paper's system components:
 5. unsupervised mining — X-Means clusters over the same vectors.
 
 :class:`MaliciousDomainDetector` is a facade over the typed stage-graph
-engine (:mod:`repro.core.stages`): every method executes the shared
-stage objects from :mod:`repro.core.dataflow` under the batch policy,
-and all intermediate products live in one
+engine (:mod:`repro.core.stages`): every method executes its slice of
+the shared stage objects from :mod:`repro.core.dataflow` in memory, and
+all intermediate products live in one
 :class:`~repro.core.stages.ArtifactStore`. The streaming refresh and
-the checkpointed runner execute the *same* stage graph under their own
-policies, so the three paths cannot drift apart.
+the checkpointed runner execute the *same* stages through the same
+engine loop, so the three paths cannot drift apart.
 
 The detector exposes each stage separately (for experiments) and a
 convenience :meth:`process` that runs stages 1-3 in order.
@@ -23,7 +23,7 @@ convenience :meth:`process` that runs stages 1-3 in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.core.dataflow import (
     PIPELINE_STAGES,
     PRUNED_GRAPHS,
     PRUNING_REPORT,
-    RAW_GRAPHS,
     RECORDS_INGESTED,
     SIMILARITY_GRAPHS,
     STAGE_CLASSIFY,
@@ -48,15 +47,16 @@ from repro.core.dataflow import (
     BatchGraphStage,
     ClassifyStage,
     ClusterStage,
-    detection_graph,
-    line_config_for,
+    EmbedStage,
+    ProjectStage,
+    PruneStage,
 )
 from repro.core.detector import ClassifierConfig, MaliciousDomainClassifier
 from repro.core.features import FeatureSpace, FeatureView
 from repro.core.stages import (
     ArtifactStore,
-    BatchPolicy,
     ExecutionContext,
+    Stage,
     StageGraph,
 )
 from repro.dns.dhcp import DhcpLog
@@ -138,8 +138,8 @@ class MaliciousDomainDetector:
         detector.fit(labeled_dataset)
         scores = detector.decision_scores(unknown_domains)
 
-    Every stage method executes the shared stage graph under the batch
-    policy; the intermediate products (pruned graphs, projections,
+    Every stage method executes its stages of the shared graph in
+    memory; the intermediate products (pruned graphs, projections,
     feature space, classifier) live in :attr:`artifacts` and are also
     readable through the familiar properties (:attr:`host_domain`,
     :attr:`feature_space`, ...).
@@ -153,13 +153,6 @@ class MaliciousDomainDetector:
     ) -> None:
         self.config = config or PipelineConfig()
         self._store = store if store is not None else ArtifactStore()
-
-    @classmethod
-    def from_store(
-        cls, config: PipelineConfig, store: ArtifactStore
-    ) -> "MaliciousDomainDetector":
-        """Wrap an already-populated artifact store (runner/streaming)."""
-        return cls(config, store=store)
 
     # ------------------------------------------------------------------
     # Artifact views
@@ -216,17 +209,17 @@ class MaliciousDomainDetector:
 
     def _execute(
         self,
-        only: set[str],
-        *,
-        source: BatchGraphStage | None = None,
+        *stages: Stage[Any, Any],
         progress: ProgressCallback | None = None,
     ) -> None:
-        """Run the named stages of the shared graph over the store."""
-        graph = detection_graph(self.config, source=source)
-        graph.execute(
-            self._store,
-            BatchPolicy(only=only),
-            ExecutionContext(progress=progress),
+        """Run ``stages`` in memory over the store.
+
+        Inputs the given stages do not produce themselves must already
+        be in the store (an earlier method put them there).
+        """
+        initial = [key for stage in stages for key in stage.inputs]
+        StageGraph(stages, initial=initial).execute(
+            self._store, ExecutionContext(progress=progress)
         )
 
     # ------------------------------------------------------------------
@@ -245,7 +238,7 @@ class MaliciousDomainDetector:
             dhcp,
             window_seconds=self.config.time_window_seconds,
         )
-        self._execute({STAGE_INGEST, STAGE_PRUNE}, source=source)
+        self._execute(source, PruneStage(self.config.pruning))
         report = self._store.get(PRUNING_REPORT)
         _log.info(
             "graphs_built",
@@ -254,21 +247,6 @@ class MaliciousDomainDetector:
             domains_after=report.domains_after,
         )
         return report
-
-    def adopt_graphs(
-        self,
-        host_domain: BipartiteGraph,
-        domain_ip: BipartiteGraph,
-        domain_time: BipartiteGraph,
-    ) -> PruningReport:
-        """Use externally built bipartite graphs (applies pruning).
-
-        The streaming mode maintains graphs incrementally and hands them
-        to a fresh detector at each refresh; this is its entry point.
-        """
-        self._store.put(RAW_GRAPHS, (host_domain, domain_ip, domain_time))
-        self._execute({STAGE_PRUNE})
-        return self._store.get(PRUNING_REPORT)
 
     # ------------------------------------------------------------------
     # Stage 3a: projections
@@ -279,14 +257,11 @@ class MaliciousDomainDetector:
             self._store.has(PRUNED_GRAPHS) and self._store.has(DOMAIN_ORDER)
         ):
             raise GraphConstructionError("call build_graphs() first")
-        self._execute({STAGE_PROJECT})
+        self._execute(ProjectStage(self.config.min_similarity))
         return self.similarity_graphs
 
     # ------------------------------------------------------------------
     # Stage 3b: embeddings
-
-    def _line_config_for(self, view: FeatureView) -> LineConfig:
-        return line_config_for(self.config.embedding, view)
 
     def learn_embeddings(
         self, progress: "ProgressCallback | None" = None
@@ -305,7 +280,10 @@ class MaliciousDomainDetector:
         """
         if not self.similarity_graphs:
             self.build_similarity_graphs()
-        self._execute({STAGE_EMBED}, progress=progress)
+        self._execute(
+            EmbedStage(self.config.embedding, self.config.parallel),
+            progress=progress,
+        )
         return self._store.get(FEATURE_SPACE)
 
     def process(
@@ -337,14 +315,14 @@ class MaliciousDomainDetector:
         """Train the SVM on a labeled dataset."""
         if self.feature_space is None:
             raise NotFittedError("MaliciousDomainDetector.learn_embeddings")
-        stage = ClassifyStage(
-            self.config.views,
-            lambda _order: dataset,
-            score_all=False,
-            classifier=self.config.classifier,
+        self._execute(
+            ClassifyStage(
+                self.config.views,
+                lambda _order: dataset,
+                score_all=False,
+                classifier=self.config.classifier,
+            )
         )
-        graph = StageGraph([stage], initial=stage.inputs)
-        graph.execute(self._store, BatchPolicy())
         return self
 
     def cross_validate(
@@ -397,9 +375,9 @@ class MaliciousDomainDetector:
             domains = self.domains
         if self.feature_space is None:
             raise NotFittedError("MaliciousDomainDetector.learn_embeddings")
-        stage = ClusterStage(
-            self.config.views, k_max=k_max, seed=seed, domains=domains
+        self._execute(
+            ClusterStage(
+                self.config.views, k_max=k_max, seed=seed, domains=domains
+            )
         )
-        graph = StageGraph([stage], initial=stage.inputs)
-        graph.execute(self._store, BatchPolicy())
         return self._store.get(CLUSTERS)

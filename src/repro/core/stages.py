@@ -15,17 +15,16 @@ substrate they all run on now:
   and restore its outputs as a stage checkpoint;
 * a :class:`StageGraph` validates the DAG statically — every input must
   be produced by an earlier stage or declared initial — and executes it
-  under a pluggable policy.
+  in one loop.
 
-Three policies cover the repo's execution modes:
-
-* :class:`BatchPolicy` — run every (selected) stage in memory, in order;
-* :class:`IncrementalPolicy` — fold semantics: skip stages whose outputs
-  are already in the store, recompute the rest (streaming refresh);
-* :class:`CheckpointPolicy` — restore each stage from its checkpoint
-  when possible, otherwise run it and save one; a complete checkpoint of
-  a superseding stage (pruned graphs supersede raw ones) skips earlier
-  stages entirely.
+:meth:`StageGraph.execute` is the only way a graph runs. For each active
+stage, in order, it runs the stage and — when the
+:class:`ExecutionContext` carries a checkpointer — saves its outputs.
+With ``ctx.resume`` also set it first restores each stage that has a
+checkpoint, and skips a stage whose checkpointed successor supersedes
+it (pruned graphs supersede raw ones). The batch facade, the streaming
+refresh, and the checkpointed runner differ only in the stages and the
+context they hand it.
 
 Every stage executes under one canonical tracing span,
 ``pipeline.<stage>`` (see :func:`span_name`), so the metrics registry
@@ -43,7 +42,6 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
-    Collection,
     Generic,
     Iterable,
     Iterator,
@@ -62,13 +60,9 @@ __all__ = [
     "PIPELINE_SPAN_PREFIX",
     "ArtifactKey",
     "ArtifactStore",
-    "BatchPolicy",
     "CheckpointBackend",
     "CheckpointManifest",
-    "CheckpointPolicy",
     "ExecutionContext",
-    "ExecutionPolicy",
-    "IncrementalPolicy",
     "RunReport",
     "Stage",
     "StageGraph",
@@ -123,7 +117,7 @@ class ArtifactStore:
 
     This is the in-memory twin of a checkpoint directory: every stage
     reads its declared inputs from here and writes its outputs back,
-    and the checkpoint policy moves the same payloads to and from disk.
+    and a checkpointed run moves the same payloads to and from disk.
     """
 
     def __init__(self) -> None:
@@ -200,7 +194,8 @@ class ExecutionContext:
         checkpointer: Stage-checkpoint backend, when the run persists
             (or restores) checkpoints; ``None`` for purely in-memory
             runs.
-        resume: Whether existing checkpoints may be restored.
+        resume: Whether existing checkpoints may be restored (and
+            superseded stages skipped); ignored without a checkpointer.
         progress: Optional progress callback forwarded to long-running
             stages (the embedding stage reports through it).
     """
@@ -223,8 +218,8 @@ class Stage(Generic[I, O], abc.ABC):
             and tracing-span suffix.
         inputs: Artifact keys the stage reads from the store.
         outputs: Artifact keys the stage writes to the store.
-        checkpointed: Whether :class:`CheckpointPolicy` persists this
-            stage's outputs (in-memory source stages opt out).
+        checkpointed: Whether a checkpointed run persists this stage's
+            outputs (in-memory source stages opt out).
         traced: Whether execution wraps :meth:`run` in the canonical
             ``pipeline.<stage>`` span. Delegating wrapper stages (whose
             ``run`` re-enters the engine for the same stage) opt out so
@@ -255,7 +250,7 @@ class Stage(Generic[I, O], abc.ABC):
     ) -> dict[str, object]:
         """Write this stage's outputs into ``staging``; returns manifest meta.
 
-        Called by :class:`CheckpointPolicy` inside the checkpointer's
+        Called by :meth:`StageGraph.execute` inside the checkpointer's
         atomic staging directory. The returned mapping becomes the
         checkpoint manifest's ``meta`` payload.
         """
@@ -297,8 +292,7 @@ class RunReport:
         executed: Stages that ran their compute step, in order.
         restored: Stages restored from a checkpoint (a partially
             restored stage appears in both lists).
-        skipped: Stages skipped (inactive, deselected, superseded, or
-            already satisfied).
+        skipped: Stages skipped (inactive or superseded).
         resumed_from: The most advanced stage restored from a
             checkpoint, or ``None`` for a cold run.
     """
@@ -307,14 +301,6 @@ class RunReport:
     restored: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     resumed_from: str | None = None
-
-
-class ExecutionPolicy(Protocol):
-    """How a validated stage graph gets executed."""
-
-    def execute(
-        self, graph: "StageGraph", store: ArtifactStore, ctx: ExecutionContext
-    ) -> RunReport: ...
 
 
 class StageGraph:
@@ -383,140 +369,42 @@ class StageGraph:
         )
 
     def execute(
-        self,
-        store: ArtifactStore,
-        policy: ExecutionPolicy | None = None,
-        ctx: ExecutionContext | None = None,
+        self, store: ArtifactStore, ctx: ExecutionContext | None = None
     ) -> RunReport:
-        """Run the graph over ``store`` under ``policy`` (batch default)."""
-        chosen = policy if policy is not None else BatchPolicy()
-        return chosen.execute(self, store, ctx or ExecutionContext())
+        """Run every active stage over ``store``, in order.
 
+        Without a checkpointer in ``ctx`` this is a plain in-memory run.
+        With one, each stage that computes is persisted atomically and
+        every later stage's now-stale checkpoint is invalidated. With
+        ``ctx.resume`` as well, a stage is skipped when a later stage
+        that supersedes it has a checkpoint, and a stage with its own
+        checkpoint is verified and restored instead of run; a *partial*
+        checkpoint (rolling ingest saves) is restored and the stage then
+        continues from the restored state.
 
-def _run_stage(
-    stage: Stage[Any, Any],
-    store: ArtifactStore,
-    ctx: ExecutionContext,
-    report: RunReport,
-) -> None:
-    """Execute one stage under its canonical ``pipeline.<stage>`` span."""
-    if stage.traced:
-        with trace(span_name(stage.name)):
-            stage.run(store, ctx)
-    else:
-        stage.run(store, ctx)
-    report.executed.append(stage.name)
-
-
-class BatchPolicy:
-    """Run every active stage in order, entirely in memory.
-
-    Args:
-        only: When given, restrict execution to these stage names (the
-            rest are skipped). The batch facade uses this to expose
-            individual stages as methods over one shared graph.
-    """
-
-    def __init__(self, only: Collection[str] | None = None) -> None:
-        self.only = None if only is None else frozenset(only)
-
-    def execute(
-        self, graph: StageGraph, store: ArtifactStore, ctx: ExecutionContext
-    ) -> RunReport:
-        report = RunReport()
-        for stage in graph.stages:
-            if self.only is not None and stage.name not in self.only:
-                report.skipped.append(stage.name)
-                continue
-            if not stage.active(store):
-                report.skipped.append(stage.name)
-                continue
-            _run_stage(stage, store, ctx, report)
-        return report
-
-
-class IncrementalPolicy:
-    """Fold semantics: recompute only what the store does not hold yet.
-
-    A stage whose outputs are all present is skipped — the streaming
-    refresh seeds the store with incrementally maintained graphs and
-    recomputes the model stages over them.
-    """
-
-    def execute(
-        self, graph: StageGraph, store: ArtifactStore, ctx: ExecutionContext
-    ) -> RunReport:
-        report = RunReport()
-        for stage in graph.stages:
-            if not stage.active(store):
-                report.skipped.append(stage.name)
-                continue
-            if stage.outputs and all(store.has(key) for key in stage.outputs):
-                report.skipped.append(stage.name)
-                continue
-            _run_stage(stage, store, ctx, report)
-        return report
-
-
-class CheckpointPolicy:
-    """Checkpoint-and-resume execution over a :class:`CheckpointBackend`.
-
-    For each active stage, in order:
-
-    * skip it when a later stage that supersedes it has a checkpoint on
-      disk (that checkpoint will be restored instead);
-    * when resuming and the stage has a checkpoint, verify + restore it;
-      a *partial* checkpoint (rolling ingest saves) is restored and the
-      stage then continues from the restored state;
-    * otherwise run the stage, persist its artifacts atomically, and
-      invalidate every later stage's now-stale checkpoint.
-
-    ``resumed_from`` on the returned report is the most advanced
-    restored stage, mirroring the pre-engine runner's contract.
-    """
-
-    def __init__(self, resume: bool = False) -> None:
-        self.resume = resume
-
-    def _restorable(
-        self, stage: Stage[Any, Any], ckpt: CheckpointBackend | None
-    ) -> bool:
-        return (
-            self.resume
-            and ckpt is not None
-            and stage.checkpointed
-            and ckpt.has(stage.name)
-        )
-
-    def _superseded(
-        self,
-        stage: Stage[Any, Any],
-        later: Sequence[Stage[Any, Any]],
-        ckpt: CheckpointBackend | None,
-    ) -> bool:
-        if not self.resume or ckpt is None:
-            return False
-        return any(
-            stage.name in other.supersedes and ckpt.has(other.name)
-            for other in later
-        )
-
-    def execute(
-        self, graph: StageGraph, store: ArtifactStore, ctx: ExecutionContext
-    ) -> RunReport:
+        ``resumed_from`` on the returned report is the most advanced
+        restored stage.
+        """
+        ctx = ctx or ExecutionContext()
         ckpt = ctx.checkpointer
+        restore_from = ckpt if ctx.resume else None
         report = RunReport()
-        stages = graph.stages
-        for position, stage in enumerate(stages):
+        for position, stage in enumerate(self.stages):
             if not stage.active(store):
                 report.skipped.append(stage.name)
                 continue
-            if self._superseded(stage, stages[position + 1 :], ckpt):
+            if restore_from is not None and any(
+                stage.name in later.supersedes and restore_from.has(later.name)
+                for later in self.stages[position + 1 :]
+            ):
                 report.skipped.append(stage.name)
                 continue
-            if self._restorable(stage, ckpt):
-                assert ckpt is not None
-                directory, manifest = ckpt.verify(stage.name)
+            if (
+                restore_from is not None
+                and stage.checkpointed
+                and restore_from.has(stage.name)
+            ):
+                directory, manifest = restore_from.verify(stage.name)
                 stage.load_artifacts(directory, manifest, store)
                 report.restored.append(stage.name)
                 report.resumed_from = stage.name
@@ -529,7 +417,12 @@ class CheckpointPolicy:
                     continue
                 # A partial (rolling) checkpoint: the restored state is a
                 # prefix of the stage's work — finish it below.
-            _run_stage(stage, store, ctx, report)
+            if stage.traced:
+                with trace(span_name(stage.name)):
+                    stage.run(store, ctx)
+            else:
+                stage.run(store, ctx)
+            report.executed.append(stage.name)
             if ckpt is not None and stage.checkpointed:
                 meta: dict[str, object] = {}
 

@@ -20,7 +20,6 @@ with line-rate traffic, and it is O(1) per record here.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -31,8 +30,7 @@ from repro.core.dataflow import (
     detection_graph,
 )
 from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
-from repro.core.stages import ArtifactStore, IncrementalPolicy
-from repro.parallel.executor import ParallelConfig
+from repro.core.stages import ArtifactStore
 from repro.dns.dhcp import DhcpLog, HostIdentityResolver
 from repro.dns.names import is_valid_domain_name
 from repro.dns.psl import PublicSuffixList, default_psl
@@ -156,19 +154,14 @@ class StreamingDetector:
         self,
         config: PipelineConfig | None = None,
         dhcp: DhcpLog | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> None:
         """Args:
-            config: Pipeline knobs for each refresh's model rebuild.
+            config: Pipeline knobs for each refresh's model rebuild;
+                ``config.parallel`` bounds the embedding stage's
+                refresh latency.
             dhcp: Optional DHCP log for host-identity resolution.
-            parallel: Overrides ``config.parallel`` for the embedding
-                stage of every refresh — the knob that bounds
-                model-refresh latency in deployments where traffic keeps
-                arriving while the model retrains.
         """
         self.config = config or PipelineConfig()
-        if parallel is not None:
-            self.config = replace(self.config, parallel=parallel)
         self.builder = IncrementalGraphBuilder(
             dhcp=dhcp, time_window_seconds=self.config.time_window_seconds
         )
@@ -187,9 +180,9 @@ class StreamingDetector:
         gain real features at the next refresh after they appear.
         """
         started = time.perf_counter()
-        # Same stage graph as the batch and checkpointed paths, under
-        # fold semantics: the store is seeded with the incrementally
-        # maintained graphs and the model stages recompute over them.
+        # Same stage graph and engine loop as the batch and checkpointed
+        # paths: the store is seeded with only the incrementally
+        # maintained raw graphs, so every model stage recomputes.
         store = ArtifactStore()
         store.put(
             RAW_GRAPHS,
@@ -203,8 +196,8 @@ class StreamingDetector:
         graph = detection_graph(
             self.config, dataset_for=lambda _order: dataset
         )
-        graph.execute(store, IncrementalPolicy())
-        detector = MaliciousDomainDetector.from_store(self.config, store)
+        graph.execute(store)
+        detector = MaliciousDomainDetector(self.config, store=store)
         self._detector = detector
         self.refreshes += 1
         elapsed = time.perf_counter() - started

@@ -1,17 +1,18 @@
-"""Checkpointed out-of-core pipeline runner.
+"""Chunked, optionally checkpointed pipeline runner.
 
 :class:`CheckpointedPipeline` executes the shared detection stage graph
-(:mod:`repro.core.dataflow`) under the engine's
-:class:`~repro.core.stages.CheckpointPolicy`, with the chunked
+(:mod:`repro.core.dataflow`) through the engine's one loop
+(:meth:`~repro.core.stages.StageGraph.execute`), with the chunked
 out-of-core :class:`ChunkedIngestStage` as the graph's source::
 
     ingest -> prune -> project -> embed -> classify -> cluster
 
-Each stage persists its output through
-:class:`~repro.ingest.checkpoint.PipelineCheckpointer`; a crashed or
-killed run restarts from its last complete checkpoint with
-**byte-identical** outputs to a cold run. Two properties make that
-guarantee hold:
+It is how the CLI's ``detect`` and ``cluster`` run, with or without
+``--checkpoint-dir``. Given a
+:class:`~repro.ingest.checkpoint.PipelineCheckpointer`, each stage
+persists its output; a crashed or killed run restarts from its last
+complete checkpoint with **byte-identical** outputs to a cold run. Two
+properties make that guarantee hold:
 
 * graph accumulation is order-preserving and idempotent under
   checkpoint/restore — the columnar edge buffers dedup to the same
@@ -61,7 +62,6 @@ from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.core.stages import (
     ArtifactStore,
     CheckpointManifest,
-    CheckpointPolicy,
     ExecutionContext,
     Stage,
     StageGraph,
@@ -154,7 +154,7 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
     carried in every checkpoint, so a restored *partial* checkpoint
     makes :meth:`run` continue mid-trace instead of starting over.
     Rolling saves land every ``checkpoint_every_chunks`` chunks while
-    the engine's checkpoint policy writes the final complete one.
+    the engine loop writes the final complete one.
     """
 
     name = STAGE_INGEST
@@ -256,7 +256,7 @@ class _FacadeEmbedStage(EmbedStage):
         self.config = config
 
     def run(self, store: ArtifactStore, ctx: ExecutionContext) -> None:
-        detector = MaliciousDomainDetector.from_store(self.config, store)
+        detector = MaliciousDomainDetector(self.config, store=store)
         detector.learn_embeddings(progress=ctx.progress)
 
 
@@ -269,13 +269,12 @@ class CheckpointedPipeline:
         pipe = CheckpointedPipeline(config, checkpointer=ckpt, dhcp=dhcp)
         outcome = pipe.run(trace_path, dataset_for, resume=True)
 
-    Without a checkpointer this is still the memory-bounded chunked
-    execution path (nothing is persisted); with one, every stage lands
-    a checkpoint and ``resume=True`` restarts after the last complete
+    Without a checkpointer this is the memory-bounded chunked execution
+    path (nothing is persisted); with one, every stage lands a
+    checkpoint and ``resume=True`` restarts after the last complete
     stage. Either way the run is one
-    :meth:`~repro.core.stages.StageGraph.execute` call under the
-    engine's checkpoint policy — the same stage objects the batch and
-    streaming paths execute.
+    :meth:`~repro.core.stages.StageGraph.execute` call over the same
+    stage objects the batch and streaming paths execute.
     """
 
     def __init__(
@@ -348,7 +347,6 @@ class CheckpointedPipeline:
         store = ArtifactStore()
         report = graph.execute(
             store,
-            CheckpointPolicy(resume=resume),
             ExecutionContext(checkpointer=self.checkpointer, resume=resume),
         )
         self.resumed_from = report.resumed_from
@@ -374,7 +372,7 @@ class CheckpointedPipeline:
             clusters=None if clusters is None else len(clusters),
         )
         return PipelineOutcome(
-            detector=MaliciousDomainDetector.from_store(self.config, store),
+            detector=MaliciousDomainDetector(self.config, store=store),
             domains=list(domains),
             scores=scores,
             verdicts=verdicts,

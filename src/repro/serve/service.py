@@ -116,8 +116,13 @@ class ServiceConfig:
             raise ValueError("port must be <= 65535")
         if self.max_request_bytes < 1:
             raise ValueError("max_request_bytes must be positive")
-        if self.request_timeout_seconds <= 0:
-            raise ValueError("request_timeout_seconds must be positive")
+        # NaN passes every comparison and inf overflows Condition.wait,
+        # so each duration must also be finite.
+        if not (math.isfinite(self.request_timeout_seconds)
+                and self.request_timeout_seconds > 0):
+            raise ValueError(
+                "request_timeout_seconds must be positive and finite"
+            )
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         if self.max_batch_size < 1:
@@ -130,12 +135,14 @@ class ServiceConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        if not (math.isfinite(self.deadline_seconds)
+                and self.deadline_seconds > 0):
+            raise ValueError("deadline_seconds must be positive and finite")
         if self.reload_retries < 0:
             raise ValueError("reload_retries must be >= 0")
-        if self.reload_backoff_seconds < 0:
-            raise ValueError("reload_backoff_seconds must be >= 0")
+        if not (math.isfinite(self.reload_backoff_seconds)
+                and self.reload_backoff_seconds >= 0):
+            raise ValueError("reload_backoff_seconds must be finite and >= 0")
 
 
 @dataclass(frozen=True, slots=True)

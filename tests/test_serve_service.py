@@ -274,6 +274,14 @@ class TestLifecycle:
             ServiceConfig(cache_size=-1).validate()
         with pytest.raises(ValueError):
             ServiceConfig(unknown_policy="bogus").validate()
+        # NaN slips past a plain range test and inf overflows a wait.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="request_timeout_seconds"):
+                ServiceConfig(request_timeout_seconds=bad).validate()
+            with pytest.raises(ValueError, match="reload_backoff_seconds"):
+                ServiceConfig(reload_backoff_seconds=bad).validate()
+            with pytest.raises(ValueError, match="deadline_seconds"):
+                ServiceConfig(deadline_seconds=bad).validate()
 
     def test_config_rejects_out_of_range_port(self):
         with pytest.raises(ValueError, match="65535"):

@@ -1,16 +1,18 @@
-"""Tests for the typed stage-graph engine and its execution policies.
+"""Tests for the typed stage-graph engine and its one execution loop.
 
 Three layers of coverage:
 
 * engine unit tests — artifact store semantics, static DAG validation,
-  and the batch / incremental / checkpoint policies over toy stages
-  (including a real :class:`PipelineCheckpointer` backend);
+  and :meth:`StageGraph.execute` over toy stages, in memory and with a
+  real :class:`PipelineCheckpointer` backend (save, restore on resume,
+  supersession, invalidation);
 * span-naming regression — every execution path reports the canonical
   ``stage.pipeline.<stage>.seconds`` metrics, so dashboards never see
   two names for the same work;
 * the three-way equivalence contract — batch facade, streaming refresh,
-  and the checkpointed runner execute the same stage objects and must
-  produce byte-identical embeddings, scores, and clusters.
+  and the checkpointed runner execute the same stage objects through
+  the same loop and must produce byte-identical embeddings, scores, and
+  clusters.
 """
 
 from pathlib import Path
@@ -26,10 +28,7 @@ from repro.core.dataflow import (
 from repro.core.stages import (
     ArtifactKey,
     ArtifactStore,
-    BatchPolicy,
-    CheckpointPolicy,
     ExecutionContext,
-    IncrementalPolicy,
     Stage,
     StageGraph,
     span_name,
@@ -144,6 +143,8 @@ class TestGraphValidation:
 
 
 class TestBatchPolicy:
+    """In-memory execution: ``execute`` without a checkpointer."""
+
     def test_runs_stages_in_order(self):
         store = ArtifactStore()
         report = StageGraph([_Source(), _Double()]).execute(store)
@@ -151,14 +152,24 @@ class TestBatchPolicy:
         assert store.get(RIGHT) == 4
 
     def test_only_restricts_execution(self):
+        # The batch facade runs one stage at a time: a graph of just
+        # that stage, its inputs declared initial and already stored.
         store = ArtifactStore()
         store.put(LEFT, 5)
-        report = StageGraph([_Source(), _Double()]).execute(
-            store, BatchPolicy(only={"double"})
-        )
+        report = StageGraph([_Double()], initial=(LEFT,)).execute(store)
         assert report.executed == ["double"]
-        assert report.skipped == ["source"]
+        assert report.skipped == []
         assert store.get(RIGHT) == 10
+
+    def test_checkpointless_resume_runs_every_stage(self):
+        # ``resume`` only restores through a checkpointer; without one
+        # every stage computes.
+        source, double = _Source(), _Double()
+        report = StageGraph([source, double]).execute(
+            ArtifactStore(), ExecutionContext(resume=True)
+        )
+        assert report.executed == ["source", "double"]
+        assert report.restored == []
 
     def test_inactive_stage_skipped(self):
         store = ArtifactStore()
@@ -168,27 +179,6 @@ class TestBatchPolicy:
         ).execute(store)
         assert report.skipped == ["source"]
         assert store.get(RIGHT) == 6
-
-
-class TestIncrementalPolicy:
-    def test_satisfied_stage_skipped(self):
-        store = ArtifactStore()
-        store.put(LEFT, 9)
-        source, double = _Source(), _Double()
-        report = StageGraph([source, double]).execute(
-            store, IncrementalPolicy()
-        )
-        assert source.runs == 0
-        assert report.skipped == ["source"]
-        assert report.executed == ["double"]
-        assert store.get(RIGHT) == 18
-
-    def test_missing_outputs_recomputed(self):
-        store = ArtifactStore()
-        report = StageGraph([_Source(), _Double()]).execute(
-            store, IncrementalPolicy()
-        )
-        assert report.executed == ["source", "double"]
 
 
 VAL = ArtifactKey("toy.value")
@@ -243,6 +233,8 @@ class _SupersedingStage(_PersistedStage):
 
 
 class TestCheckpointPolicy:
+    """Checkpointed execution: ``ExecutionContext(checkpointer, resume)``."""
+
     @pytest.fixture()
     def checkpointer(self, tmp_path):
         from repro.ingest import PipelineCheckpointer
@@ -256,7 +248,7 @@ class TestCheckpointPolicy:
         store = ArtifactStore()
         stage = _PersistedStage()
         report = StageGraph([stage]).execute(
-            store, CheckpointPolicy(), self._ctx(checkpointer, False)
+            store, self._ctx(checkpointer, False)
         )
         assert report.executed == [STAGE_PRUNE]
         assert report.resumed_from is None
@@ -266,12 +258,12 @@ class TestCheckpointPolicy:
 
     def test_resume_restores_instead_of_running(self, checkpointer):
         StageGraph([_PersistedStage()]).execute(
-            ArtifactStore(), CheckpointPolicy(), self._ctx(checkpointer, False)
+            ArtifactStore(), self._ctx(checkpointer, False)
         )
         stage = _PersistedStage()
         store = ArtifactStore()
         report = StageGraph([stage]).execute(
-            store, CheckpointPolicy(resume=True), self._ctx(checkpointer, True)
+            store, self._ctx(checkpointer, True)
         )
         assert stage.runs == 0
         assert report.restored == [STAGE_PRUNE]
@@ -281,12 +273,12 @@ class TestCheckpointPolicy:
 
     def test_without_resume_checkpoints_are_ignored(self, checkpointer):
         StageGraph([_PersistedStage()]).execute(
-            ArtifactStore(), CheckpointPolicy(), self._ctx(checkpointer, False)
+            ArtifactStore(), self._ctx(checkpointer, False)
         )
         stage = _PersistedStage(value=7)
         store = ArtifactStore()
         report = StageGraph([stage]).execute(
-            store, CheckpointPolicy(), self._ctx(checkpointer, False)
+            store, self._ctx(checkpointer, False)
         )
         assert stage.runs == 1
         assert report.restored == []
@@ -304,7 +296,7 @@ class TestCheckpointPolicy:
         stage = _PersistedStage()
         store = ArtifactStore()
         report = StageGraph([stage]).execute(
-            store, CheckpointPolicy(resume=True), self._ctx(checkpointer, True)
+            store, self._ctx(checkpointer, True)
         )
         assert report.restored == [STAGE_PRUNE]
         assert report.executed == [STAGE_PRUNE]
@@ -314,12 +306,12 @@ class TestCheckpointPolicy:
     def test_superseded_stage_skipped_on_resume(self, checkpointer):
         raw, pruned = _RawStage(), _SupersedingStage()
         StageGraph([raw, pruned]).execute(
-            ArtifactStore(), CheckpointPolicy(), self._ctx(checkpointer, False)
+            ArtifactStore(), self._ctx(checkpointer, False)
         )
         raw2, pruned2 = _RawStage(), _SupersedingStage()
         store = ArtifactStore()
         report = StageGraph([raw2, pruned2]).execute(
-            store, CheckpointPolicy(resume=True), self._ctx(checkpointer, True)
+            store, self._ctx(checkpointer, True)
         )
         assert raw2.runs == 0
         assert report.skipped == [STAGE_INGEST]
@@ -336,7 +328,7 @@ class TestCheckpointPolicy:
             {},
         )
         StageGraph([_PersistedStage()]).execute(
-            ArtifactStore(), CheckpointPolicy(), self._ctx(checkpointer, False)
+            ArtifactStore(), self._ctx(checkpointer, False)
         )
         assert checkpointer.has(STAGE_PRUNE)
         assert not checkpointer.has(STAGE_PROJECT)
@@ -366,7 +358,7 @@ class TestCanonicalSpans:
 # Three-way equivalence: the same trace through the batch facade, the
 # streaming refresh, and the checkpointed runner must produce
 # byte-identical embeddings, scores, and clusters — they are three
-# policies over one stage graph, not three pipelines.
+# front doors to one stage graph and one loop, not three pipelines.
 # --------------------------------------------------------------------------
 
 _PIPELINE_STAGE_METRICS = (
