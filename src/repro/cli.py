@@ -462,7 +462,11 @@ def cmd_describe(args: argparse.Namespace) -> int:
             print(f"     notes:   {'; '.join(notes)}")
         if checkpointer is None:
             continue
-        manifest = checkpointer.peek(info.name)
+        try:
+            manifest = checkpointer.peek(info.name)
+        except ArtifactIntegrityError as exc:
+            print(f"     checkpoint: unusable ({exc})")
+            continue
         if manifest is None:
             status = "none"
         elif manifest.complete:
@@ -474,7 +478,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     if args.checkpoint_dir is not None and checkpointer is not None:
         latest = None
         for info in graph.describe():
-            if checkpointer.peek(info.name) is not None:
+            if checkpointer.has(info.name):
                 latest = info.name
         print(
             f"\ncheckpoints under {args.checkpoint_dir}: "

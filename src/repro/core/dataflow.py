@@ -18,8 +18,9 @@ pipeline step::
 (:class:`~repro.core.pipeline.MaliciousDomainDetector`), the streaming
 refresh, and the checkpointed runner all execute these stages through
 the engine's one loop. Each stage's ``save_artifacts`` /
-``load_artifacts`` hooks reproduce the pre-engine checkpoint layout
-byte for byte, so existing checkpoint directories stay valid.
+``load_artifacts`` hooks decide the files of its checkpoint; the
+directory around them (manifest, atomic write, verification) is
+:mod:`repro.core.artifacts`.
 
 :func:`pipeline_fingerprint` lives here too: it hashes exactly the
 result-affecting configuration, and both checkpointing and serving bind
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.artifacts import ArtifactManifest
 from repro.core.clustering import DomainCluster, DomainClusterer
 from repro.core.detector import ClassifierConfig, MaliciousDomainClassifier
 from repro.core.features import FeatureSpace, FeatureView
@@ -53,7 +55,6 @@ from repro.core.persistence import (
 from repro.core.stages import (
     ArtifactKey,
     ArtifactStore,
-    CheckpointManifest,
     ExecutionContext,
     Stage,
     StageGraph,
@@ -363,7 +364,7 @@ class PruneStage(Stage[GraphTriple, GraphTriple]):
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         graphs = load_shared_graphs(directory)
@@ -430,7 +431,7 @@ class ProjectStage(
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         similarity = {
@@ -494,7 +495,7 @@ class EmbedStage(
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         space = load_feature_space(directory)
@@ -577,7 +578,7 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         store.put(CLASSIFIER, load_classifier(directory / "classifier.npz"))
@@ -662,7 +663,7 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         order = self._order(store)

@@ -3,10 +3,10 @@
 A deployment runs the expensive stages (graphs, projections, LINE) once
 per capture window and reuses the results; this module saves and restores
 them — embeddings, feature spaces, graphs, and the trained classifier
-and scaler (so scoring never requires retraining; see ``repro.serve``
-for the bundle/registry layer built on top). Formats are plain ``.npz``
-(numpy) plus small JSON sidecars — no pickle, so artifacts are safe to
-share and stable across versions.
+and scaler (so scoring never requires retraining). Formats are plain
+``.npz`` (numpy) plus small JSON sidecars — no pickle, so artifacts are
+safe to share and stable across versions. Each function here handles
+one file; :mod:`repro.core.artifacts` owns the directories of them.
 
 Every ``.npz`` the system writes (these files, stage checkpoints, model
 bundles) goes through :func:`write_arrays`, which stores members
@@ -17,7 +17,6 @@ deflated archives alike, so artifacts written compressed still load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -44,18 +43,6 @@ def write_arrays(path: str | Path, **arrays: np.ndarray) -> None:
     ``ZIP_STORED`` members, and appends ``.npz`` to a path without it.
     """
     np.savez(path, **arrays)
-
-
-def sha256_file(path: str | Path) -> str:
-    """Hex SHA-256 of a file, streamed in 1 MiB chunks.
-
-    The checksum that bundle and checkpoint manifests record per file.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:

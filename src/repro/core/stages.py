@@ -30,8 +30,9 @@ Every stage executes under one canonical tracing span,
 ``pipeline.<stage>`` (see :func:`span_name`), so the metrics registry
 reports ``stage.pipeline.<stage>.seconds`` identically from the batch,
 streaming, and checkpointed paths. The engine knows checkpointing only
-through the :class:`CheckpointBackend` protocol, so ``repro.core`` never
-imports ``repro.ingest``.
+through the :class:`CheckpointBackend` protocol, which hands back
+:class:`~repro.core.artifacts.ArtifactManifest` records, so
+``repro.core`` never imports ``repro.ingest``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.core.artifacts import ArtifactManifest
 from repro.errors import StageGraphError
 from repro.obs.logging import get_logger
 from repro.obs.progress import ProgressCallback
@@ -61,7 +63,6 @@ __all__ = [
     "ArtifactKey",
     "ArtifactStore",
     "CheckpointBackend",
-    "CheckpointManifest",
     "ExecutionContext",
     "RunReport",
     "Stage",
@@ -155,13 +156,6 @@ class ArtifactStore:
         return len(self._artifacts)
 
 
-class CheckpointManifest(Protocol):
-    """What the engine needs of a stage-checkpoint manifest."""
-
-    complete: bool
-    meta: dict
-
-
 class CheckpointBackend(Protocol):
     """Structural view of :class:`repro.ingest.PipelineCheckpointer`.
 
@@ -172,7 +166,7 @@ class CheckpointBackend(Protocol):
 
     def has(self, stage: str) -> bool: ...
 
-    def verify(self, stage: str) -> tuple[Path, Any]: ...
+    def verify(self, stage: str) -> tuple[Path, ArtifactManifest]: ...
 
     def save(
         self,
@@ -261,7 +255,7 @@ class Stage(Generic[I, O], abc.ABC):
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         """Restore this stage's outputs into ``store`` from ``directory``."""

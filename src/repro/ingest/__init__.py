@@ -14,11 +14,8 @@ The front end for captures too large to materialize in memory:
 See ``docs/ingestion.md``.
 """
 
-from repro.ingest.checkpoint import (
-    CHECKPOINT_STAGES,
-    PipelineCheckpointer,
-    StageManifest,
-)
+from repro.core.artifacts import ArtifactManifest
+from repro.ingest.checkpoint import CHECKPOINT_STAGES, PipelineCheckpointer
 from repro.ingest.chunking import ChunkedTraceReader, ChunkPolicy, RecordBatch
 from repro.ingest.runner import (
     CheckpointedPipeline,
@@ -29,6 +26,7 @@ from repro.ingest.runner import (
 )
 
 __all__ = [
+    "ArtifactManifest",
     "CHECKPOINT_STAGES",
     "ChunkPolicy",
     "ChunkedIngestStage",
@@ -38,6 +36,5 @@ __all__ = [
     "PipelineCheckpointer",
     "PipelineOutcome",
     "RecordBatch",
-    "StageManifest",
     "pipeline_fingerprint",
 ]

@@ -10,26 +10,23 @@ subdirectory per completed stage::
     <dir>/04-classify/  manifest.json + classifier + verdicts
     <dir>/05-cluster/   manifest.json + cluster assignments
 
-Integrity follows the ``repro.serve`` bundle pattern: every artifact is
-a typed ``.npz`` written and read with ``allow_pickle=False``; the
-manifest records each file's SHA-256 and is written **last** inside a
-staging directory that is atomically renamed into place — an
-interrupted save can never masquerade as a complete checkpoint. On
-load, schema version, configuration fingerprint, and every checksum are
-re-verified; any mismatch raises
-:class:`~repro.errors.ArtifactIntegrityError` instead of resuming from
-a torn or tampered state.
+Each stage directory is an artifact directory of kind
+``checkpoint:<stage>``, written and verified by
+:mod:`repro.core.artifacts` like a model bundle. This module adds only
+the stage naming and the commit step that replaces a stage's previous
+checkpoint.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
+
+from repro.core import artifacts
+from repro.core.artifacts import MANIFEST_FILENAME, ArtifactManifest
 
 # Canonical stage names live with the stage objects themselves
 # (repro.core.dataflow); checkpoint directories are indexed by the same
@@ -43,13 +40,11 @@ from repro.core.dataflow import (
     STAGE_PROJECT,
     STAGE_PRUNE,
 )
-from repro.core.persistence import sha256_file
-from repro.errors import ArtifactIntegrityError, IngestError
+from repro.errors import IngestError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import default_registry
 
 __all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
     "CHECKPOINT_STAGES",
     "STAGE_INGEST",
     "STAGE_PRUNE",
@@ -57,62 +52,10 @@ __all__ = [
     "STAGE_EMBED",
     "STAGE_CLASSIFY",
     "STAGE_CLUSTER",
-    "StageManifest",
     "PipelineCheckpointer",
 ]
 
 _log = get_logger(__name__)
-
-CHECKPOINT_SCHEMA_VERSION = 1
-MANIFEST_FILENAME = "manifest.json"
-
-
-@dataclass(slots=True)
-class StageManifest:
-    """Integrity and provenance record for one stage checkpoint.
-
-    Attributes:
-        stage: Stage name (one of :data:`CHECKPOINT_STAGES`).
-        schema_version: Checkpoint format version; loaders reject
-            mismatches.
-        fingerprint: Opaque hash binding the checkpoint to one pipeline
-            configuration + trace source; resuming under a different
-            fingerprint is refused.
-        created_at: Unix timestamp of the save.
-        complete: False only for rolling mid-stage checkpoints (the
-            ingest stage saves every few chunks); a resumed run
-            continues such a stage from ``meta["cursor"]`` instead of
-            skipping past it.
-        files: Artifact filename -> hex SHA-256, verified on load.
-        meta: Small JSON-safe stage payload (ingest cursor, domain
-            counts, ...).
-    """
-
-    stage: str
-    schema_version: int = CHECKPOINT_SCHEMA_VERSION
-    fingerprint: str = ""
-    created_at: float = 0.0
-    complete: bool = True
-    files: dict[str, str] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "StageManifest":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArtifactIntegrityError(
-                f"unreadable checkpoint manifest: {exc}"
-            ) from exc
-        if not isinstance(raw, dict) or "stage" not in raw:
-            raise ArtifactIntegrityError(
-                "checkpoint manifest must be a JSON object with a stage"
-            )
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
 
 
 class PipelineCheckpointer:
@@ -161,43 +104,32 @@ class PipelineCheckpointer:
     ) -> Path:
         """Write one stage checkpoint atomically; returns its directory.
 
-        ``populate`` receives a staging directory and writes the stage's
-        ``.npz`` artifacts into it. Every file present afterwards is
-        hashed into the manifest, the manifest lands last, and the
-        staging directory is renamed over any previous checkpoint for
-        the stage — so a crash at any point leaves either the old
-        complete checkpoint or none, never a torn one.
+        ``populate`` writes the stage's ``.npz`` artifacts into a staging
+        directory (:func:`repro.core.artifacts.write_artifact`), which
+        then replaces any previous checkpoint for the stage — so a crash
+        at any point leaves either the old complete checkpoint or none.
         """
         if stage not in CHECKPOINT_STAGES:
             raise IngestError(f"unknown checkpoint stage {stage!r}")
         final = self.stage_dir(stage)
-        staging = self.root / f".{stage}.staging"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
+        manifest = ArtifactManifest(
+            kind=f"checkpoint:{stage}",
+            fingerprint=self.fingerprint,
+            created_at=time.time(),
+            complete=complete,
+        )
+
+        def fill(staging: Path) -> None:
             populate(staging)
-            manifest = StageManifest(
-                stage=stage,
-                fingerprint=self.fingerprint,
-                created_at=time.time(),
-                complete=complete,
-                files={
-                    entry.name: sha256_file(entry)
-                    for entry in sorted(staging.iterdir())
-                    if entry.is_file()
-                },
-                meta=dict(meta or {}),
-            )
-            (staging / MANIFEST_FILENAME).write_text(
-                manifest.to_json(), encoding="utf-8"
-            )
+            # Read ``meta`` only now: the engine's populate fills it.
+            manifest.meta = dict(meta or {})
+
+        def replace(staging: Path) -> None:
             if final.exists():
                 shutil.rmtree(final)
             os.replace(staging, final)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+
+        artifacts.write_artifact(self.root, manifest, fill, replace)
         total = self.total_bytes()
         default_registry().gauge("checkpoint.bytes").set(total)
         _log.info(
@@ -211,56 +143,18 @@ class PipelineCheckpointer:
 
     # -- loading ---------------------------------------------------------
 
-    def verify(self, stage: str) -> tuple[Path, StageManifest]:
+    def verify(self, stage: str) -> tuple[Path, ArtifactManifest]:
         """Integrity-check one stage checkpoint; returns (dir, manifest).
 
-        Raises:
-            ArtifactIntegrityError: Missing/unreadable manifest, schema
-                or fingerprint mismatch, missing artifact, or checksum
-                mismatch. A checkpoint that fails here is never loaded.
+        Raises :class:`~repro.errors.ArtifactIntegrityError` (see
+        :func:`repro.core.artifacts.verify`) instead of resuming from a
+        torn or tampered checkpoint.
         """
         directory = self.stage_dir(stage)
-        manifest_path = directory / MANIFEST_FILENAME
-        if not manifest_path.is_file():
-            raise ArtifactIntegrityError(
-                f"no checkpoint manifest for stage {stage!r} under {self.root}"
-            )
-        manifest = StageManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
-        )
-        if manifest.stage != stage:
-            raise ArtifactIntegrityError(
-                f"checkpoint under {directory} records stage "
-                f"{manifest.stage!r}, expected {stage!r}"
-            )
-        if manifest.schema_version != CHECKPOINT_SCHEMA_VERSION:
-            raise ArtifactIntegrityError(
-                "unsupported checkpoint schema version "
-                f"{manifest.schema_version}"
-            )
-        if self.fingerprint and manifest.fingerprint != self.fingerprint:
-            raise ArtifactIntegrityError(
-                f"checkpoint for stage {stage!r} was written under a "
-                "different pipeline configuration or trace source; "
-                "refusing to resume from it"
-            )
-        for name, expected in manifest.files.items():
-            if name == MANIFEST_FILENAME:
-                continue
-            artifact = directory / name
-            if not artifact.is_file():
-                raise ArtifactIntegrityError(
-                    f"checkpoint artifact missing: {artifact}"
-                )
-            actual = sha256_file(artifact)
-            if actual != expected:
-                raise ArtifactIntegrityError(
-                    f"checksum mismatch for {artifact}: manifest "
-                    f"{expected[:12]}..., file {actual[:12]}..."
-                )
-        return directory, manifest
+        kind = f"checkpoint:{stage}"
+        return directory, artifacts.verify(directory, kind, self.fingerprint)
 
-    def peek(self, stage: str) -> StageManifest | None:
+    def peek(self, stage: str) -> ArtifactManifest | None:
         """Read one stage's manifest without hashing its artifacts.
 
         For inspection only (``repro-dns describe``): no checksum or
@@ -268,14 +162,11 @@ class PipelineCheckpointer:
         checkpoint — use :meth:`verify` for that. Returns ``None`` when
         the stage has no checkpoint.
         """
-        manifest_path = self.stage_dir(stage) / MANIFEST_FILENAME
-        if not manifest_path.is_file():
+        if not self.has(stage):
             return None
-        return StageManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
-        )
+        return artifacts.read_manifest(self.stage_dir(stage))
 
-    def latest(self) -> tuple[str, StageManifest] | None:
+    def latest(self) -> tuple[str, ArtifactManifest] | None:
         """The most advanced existing checkpoint, verified.
 
         Returns ``(stage, manifest)`` for the latest stage that has a
@@ -283,7 +174,7 @@ class PipelineCheckpointer:
         returned checkpoint may be partial (``manifest.complete`` is
         False for rolling ingest saves).
         """
-        found: tuple[str, StageManifest] | None = None
+        found: tuple[str, ArtifactManifest] | None = None
         for stage in CHECKPOINT_STAGES:
             if self.has(stage):
                 __, manifest = self.verify(stage)

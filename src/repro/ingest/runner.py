@@ -39,6 +39,7 @@ from typing import IO, Callable
 
 import numpy as np
 
+from repro.core.artifacts import ArtifactManifest
 from repro.core.clustering import DomainCluster
 from repro.core.dataflow import (
     CLUSTERS,
@@ -61,7 +62,6 @@ from repro.core.dataflow import (
 from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.core.stages import (
     ArtifactStore,
-    CheckpointManifest,
     ExecutionContext,
     Stage,
     StageGraph,
@@ -226,7 +226,7 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
     def load_artifacts(
         self,
         directory: Path,
-        manifest: CheckpointManifest,
+        manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         graphs = load_shared_graphs(directory)

@@ -24,11 +24,8 @@ from repro.serve.admission import (
     AdmissionResult,
     Deadline,
 )
-from repro.serve.bundle import (
-    BUNDLE_SCHEMA_VERSION,
-    BundleManifest,
-    ModelBundle,
-)
+from repro.core.artifacts import ArtifactManifest
+from repro.serve.bundle import ModelBundle
 from repro.serve.registry import ModelRegistry
 from repro.serve.scorer import UNKNOWN_POLICIES, DomainScorer, Verdict
 from repro.serve.service import ScoringService, ServiceConfig
@@ -36,8 +33,7 @@ from repro.serve.service import ScoringService, ServiceConfig
 __all__ = [
     "AdmissionController",
     "AdmissionResult",
-    "BUNDLE_SCHEMA_VERSION",
-    "BundleManifest",
+    "ArtifactManifest",
     "Deadline",
     "DomainScorer",
     "ModelBundle",

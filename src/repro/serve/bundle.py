@@ -3,30 +3,30 @@
 A :class:`ModelBundle` freezes the output of one training run — the
 fitted :class:`~repro.core.detector.MaliciousDomainClassifier`, an
 optional feature scaler, the concatenated per-domain feature matrix with
-its domain vocabulary, and a :class:`BundleManifest` describing where
-the model came from (schema version, creation time, pipeline-config
-fingerprint, metric summary).
+its domain vocabulary, and an
+:class:`~repro.core.artifacts.ArtifactManifest` of kind
+``"model-bundle"`` describing where the model came from (creation time,
+pipeline-config fingerprint, training metrics in ``meta``).
 
-Bundles persist as a directory of typed ``.npz`` files plus a
-``manifest.json`` sidecar, written and read with ``allow_pickle=False``
-throughout so artifacts are safe to load from shared storage. Every
-array file's SHA-256 is recorded in the manifest and re-verified on
-load; a mismatch raises
-:class:`~repro.errors.ArtifactIntegrityError` instead of silently
-serving a corrupt model.
+On disk a bundle is an artifact directory of pickle-free ``.npz``
+files, written atomically and verified before loading by
+:mod:`repro.core.artifacts` like a stage checkpoint; this module decides
+only which arrays go in which file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro.core import artifacts
+from repro.core.artifacts import ArtifactManifest
 from repro.core.dataflow import CLASSIFIER, DOMAIN_ORDER, FEATURE_SPACE
 from repro.core.detector import MaliciousDomainClassifier
 from repro.core.persistence import (
@@ -34,74 +34,22 @@ from repro.core.persistence import (
     load_scaler,
     save_classifier,
     save_scaler,
-    sha256_file,
     write_arrays,
 )
-from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
+from repro.errors import DatasetError, NotFittedError
 from repro.ml.preprocessing import StandardScaler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
     from repro.core.stages import ArtifactStore
 
-__all__ = [
-    "BUNDLE_SCHEMA_VERSION",
-    "MANIFEST_FILENAME",
-    "BundleManifest",
-    "ModelBundle",
-]
+__all__ = ["BUNDLE_KIND", "ModelBundle"]
 
-BUNDLE_SCHEMA_VERSION = 1
-MANIFEST_FILENAME = "manifest.json"
+BUNDLE_KIND = "model-bundle"
 
 _CLASSIFIER_FILE = "classifier.npz"
 _FEATURES_FILE = "features.npz"
 _SCALER_FILE = "scaler.npz"
-
-
-@dataclass(slots=True)
-class BundleManifest:
-    """Human- and machine-readable description of a saved bundle.
-
-    Attributes:
-        schema_version: Bundle format version; loaders reject mismatches.
-        created_at: Unix timestamp of bundle creation.
-        config_fingerprint: Opaque hash of the pipeline configuration
-            that produced the model — two bundles with equal fingerprints
-            were trained under identical knobs.
-        metrics: Summary numbers from training (sample counts, support
-            vectors, training accuracy, ...), for display and audit.
-        domain_count: Rows in the feature matrix.
-        feature_dimension: Columns in the feature matrix (3k).
-        threshold: The classifier's calibrated decision threshold.
-        files: Artifact filename -> hex SHA-256, filled in at save time
-            and verified on load.
-    """
-
-    schema_version: int = BUNDLE_SCHEMA_VERSION
-    created_at: float = 0.0
-    config_fingerprint: str = ""
-    metrics: dict[str, float] = field(default_factory=dict)
-    domain_count: int = 0
-    feature_dimension: int = 0
-    threshold: float = 0.0
-    files: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """Serialize as stable, indented JSON."""
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BundleManifest":
-        """Parse a manifest written by :meth:`to_json`."""
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"unreadable bundle manifest: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DatasetError("bundle manifest must be a JSON object")
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
 
 
 @dataclass(slots=True)
@@ -120,7 +68,9 @@ class ModelBundle:
     features: np.ndarray
     domains: list[str]
     scaler: StandardScaler | None = None
-    manifest: BundleManifest = field(default_factory=BundleManifest)
+    manifest: ArtifactManifest = field(
+        default_factory=lambda: ArtifactManifest(kind=BUNDLE_KIND)
+    )
 
     @classmethod
     def create(
@@ -129,11 +79,12 @@ class ModelBundle:
         features: np.ndarray,
         domains: list[str],
         scaler: StandardScaler | None = None,
-        config_fingerprint: str = "",
+        fingerprint: str = "",
         metrics: Mapping[str, float] | None = None,
         created_at: float | None = None,
     ) -> "ModelBundle":
-        """Assemble a bundle and fill in its manifest."""
+        """Assemble a bundle and fill in its manifest (``metrics`` become
+        its ``meta``)."""
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise DatasetError("bundle features must be a 2-D matrix")
@@ -142,13 +93,11 @@ class ModelBundle:
                 f"feature rows ({features.shape[0]}) disagree with domain "
                 f"vocabulary size ({len(domains)})"
             )
-        manifest = BundleManifest(
+        manifest = ArtifactManifest(
+            kind=BUNDLE_KIND,
+            fingerprint=fingerprint,
             created_at=time.time() if created_at is None else created_at,
-            config_fingerprint=config_fingerprint,
-            metrics=dict(metrics or {}),
-            domain_count=len(domains),
-            feature_dimension=int(features.shape[1]),
-            threshold=float(classifier.threshold_),
+            meta=dict(metrics or {}),
         )
         return cls(
             classifier=classifier,
@@ -195,7 +144,7 @@ class ModelBundle:
             features=features,
             domains=domains,
             scaler=scaler,
-            config_fingerprint=fingerprint,
+            fingerprint=fingerprint,
             metrics=summary,
             created_at=created_at,
         )
@@ -235,60 +184,41 @@ class ModelBundle:
             matrix = self.scaler.transform(matrix)
         return self.classifier.decision_function(matrix)
 
-    def save(self, directory: str | Path) -> Path:
-        """Write the bundle under ``directory``; returns the directory.
-
-        The manifest (with artifact checksums) is written last, so an
-        interrupted save leaves a directory that :meth:`load` rejects
-        instead of a silently truncated model.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+    def write_files(self, directory: Path) -> None:
+        """Write the bundle's ``.npz`` files into (staging) ``directory``."""
         save_classifier(self.classifier, directory / _CLASSIFIER_FILE)
         write_arrays(
             directory / _FEATURES_FILE,
             features=self.features,
             domains=np.array(self.domains, dtype=np.str_),
         )
-        artifacts = [_CLASSIFIER_FILE, _FEATURES_FILE]
         if self.scaler is not None:
             save_scaler(self.scaler, directory / _SCALER_FILE)
-            artifacts.append(_SCALER_FILE)
-        self.manifest.files = {
-            name: sha256_file(directory / name) for name in artifacts
-        }
-        (directory / MANIFEST_FILENAME).write_text(
-            self.manifest.to_json(), encoding="utf-8"
+
+    def save(self, directory: str | Path) -> Path:
+        """Write the bundle atomically as ``directory``; returns it.
+
+        ``directory`` must not exist yet, or be empty: the finished
+        staging directory is renamed onto it, so an existing bundle is
+        never overwritten.
+        """
+        directory = Path(directory)
+
+        def place(staging: Path) -> Path:
+            os.rename(staging, directory)
+            return directory
+
+        return artifacts.write_artifact(
+            directory.parent, self.manifest, self.write_files, place
         )
-        return directory
 
     @staticmethod
     def load(directory: str | Path) -> "ModelBundle":
-        """Read and integrity-check a bundle written by :meth:`save`."""
+        """Verify and read a bundle written by :meth:`save`; raises
+        :class:`~repro.errors.ArtifactIntegrityError` on a torn or
+        corrupt one."""
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_FILENAME
-        if not manifest_path.is_file():
-            raise DatasetError(f"no bundle manifest under {directory}")
-        manifest = BundleManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
-        )
-        if manifest.schema_version != BUNDLE_SCHEMA_VERSION:
-            raise DatasetError(
-                "unsupported bundle schema version "
-                f"{manifest.schema_version}"
-            )
-        for name, expected in manifest.files.items():
-            artifact = directory / name
-            if not artifact.is_file():
-                raise ArtifactIntegrityError(
-                    f"bundle artifact missing: {artifact}"
-                )
-            actual = sha256_file(artifact)
-            if actual != expected:
-                raise ArtifactIntegrityError(
-                    f"checksum mismatch for {artifact}: "
-                    f"manifest {expected[:12]}..., file {actual[:12]}..."
-                )
+        manifest = artifacts.verify(directory, BUNDLE_KIND)
         classifier = load_classifier(directory / _CLASSIFIER_FILE)
         with np.load(directory / _FEATURES_FILE) as archive:
             features = np.asarray(archive["features"], dtype=np.float64)

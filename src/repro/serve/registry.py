@@ -7,12 +7,13 @@ A registry root holds numbered slots::
       v0001/         <- a ModelBundle directory
       v0002/
 
-Publishing writes the bundle into a hidden temporary directory inside
-the root and then ``os.rename``-s it into its slot: readers either see a
-complete, checksummed bundle or no slot at all — never a half-written
-one. The ``CURRENT`` pointer is likewise replaced atomically
-(write-temp + ``os.replace``), so a crash mid-publish leaves the
-previous version live. Swapping a loaded version into service is
+Publishing writes the bundle with :func:`repro.core.artifacts.write_artifact`
+into a hidden staging directory inside the root and ``os.rename``-s it
+into the next free slot: readers either see a complete, checksummed
+bundle or no slot at all, and no slot is ever overwritten. The
+``CURRENT`` pointer is likewise replaced atomically (write-temp +
+``os.replace``), so a crash mid-publish leaves the previous version
+live. Swapping a loaded version into service is
 :meth:`repro.serve.service.ScoringService.reload`'s job.
 """
 
@@ -20,14 +21,14 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import tempfile
 import threading
 from pathlib import Path
 
+from repro.core.artifacts import MANIFEST_FILENAME, write_artifact
 from repro.errors import DatasetError
 from repro.obs.logging import get_logger
-from repro.serve.bundle import MANIFEST_FILENAME, ModelBundle
+from repro.serve.bundle import ModelBundle
 
 __all__ = ["CURRENT_FILENAME", "ModelRegistry"]
 
@@ -90,41 +91,11 @@ class ModelRegistry:
     # Publish / load
 
     def publish(self, bundle: ModelBundle) -> int:
-        """Atomically add ``bundle`` as the next version; returns it.
-
-        The bundle is fully written (checksums and all) into a temporary
-        directory inside the root, then renamed into its numbered slot.
-        If another publisher claims the slot first, the rename fails and
-        the next number is tried — no version is ever overwritten.
-        """
+        """Atomically add ``bundle`` as the next version; returns it."""
         with self._publish_lock:
-            staging = Path(
-                tempfile.mkdtemp(prefix=".publish-", dir=self.root)
+            version = write_artifact(
+                self.root, bundle.manifest, bundle.write_files, self._claim_slot
             )
-            try:
-                bundle.save(staging)
-                found = self.versions()
-                version = (found[-1] if found else 0) + 1
-                while True:
-                    target = self.slot_path(version)
-                    # POSIX rename would happily replace an *empty*
-                    # target directory; skip any existing slot first
-                    # (the OSError branch covers the race window).
-                    if target.exists():
-                        version += 1
-                        continue
-                    try:
-                        os.rename(staging, target)
-                        break
-                    except OSError:
-                        if target.exists():
-                            version += 1
-                            continue
-                        raise
-            except BaseException:
-                if staging.exists():  # pragma: no cover - cleanup path
-                    shutil.rmtree(staging, ignore_errors=True)
-                raise
             self._write_current(version)
         _log.info(
             "model_published",
@@ -133,6 +104,28 @@ class ModelRegistry:
             domains=len(bundle.domains),
         )
         return version
+
+    def _claim_slot(self, staging: Path) -> int:
+        """Rename a finished bundle into the next free slot; returns its
+        version. A slot another publisher claimed first is skipped."""
+        found = self.versions()
+        version = (found[-1] if found else 0) + 1
+        while True:
+            target = self.slot_path(version)
+            # POSIX rename would happily replace an *empty* target
+            # directory; skip any existing slot first (the OSError
+            # branch covers the race window).
+            if target.exists():
+                version += 1
+                continue
+            try:
+                os.rename(staging, target)
+                return version
+            except OSError:
+                if target.exists():
+                    version += 1
+                    continue
+                raise
 
     def _write_current(self, version: int) -> None:
         """Atomically repoint ``CURRENT`` at ``version``."""

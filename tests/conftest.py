@@ -90,7 +90,7 @@ def make_bundle():
             features,
             domains,
             scaler=scaler,
-            config_fingerprint=f"fp-{seed}",
+            fingerprint=f"fp-{seed}",
             metrics=metrics,
             created_at=1_700_000_000.0 + seed,
         )

@@ -173,6 +173,18 @@ class TestDescribe:
         assert "checkpoint: none" in output
         assert "none found" in output
 
+    def test_reports_old_schema_checkpoint_as_unusable(self, tmp_path, capsys):
+        stage = tmp_path / "01-prune"
+        stage.mkdir()
+        (stage / "manifest.json").write_text(
+            '{"schema_version": 1, "stage": "prune", "files": {}}'
+        )
+        assert main(["describe", "--checkpoint-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "checkpoint: unusable" in output
+        assert "schema version 1" in output
+        assert "latest stage is 'prune'" in output
+
 
 class TestChunkedIngestion:
     @pytest.fixture()
@@ -217,7 +229,8 @@ class TestChunkedIngestion:
         code = main([command, *args, "--dimension", "16", "--resume"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"repro-dns {command}: checkpoint for stage")
+        assert err.startswith(f"repro-dns {command}: checkpoint:")
+        assert "different pipeline configuration" in err
         assert err.count("\n") == 1
 
     def test_bad_chunk_records_exits_2(self, fresh_trace, capsys):

@@ -5,15 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.artifacts import MANIFEST_FILENAME
 from repro.errors import ArtifactIntegrityError, IngestError
-from repro.ingest import PipelineCheckpointer
+from repro.ingest import ArtifactManifest, PipelineCheckpointer
 from repro.ingest.checkpoint import (
     CHECKPOINT_STAGES,
-    MANIFEST_FILENAME,
     STAGE_INGEST,
     STAGE_PROJECT,
     STAGE_PRUNE,
-    StageManifest,
 )
 from repro.obs.metrics import default_registry
 
@@ -36,7 +35,7 @@ class TestSaveAndVerify:
         ckpt.save(STAGE_PRUNE, _write_payload([1, 2, 3]), {"cursor": 42})
         directory, manifest = ckpt.verify(STAGE_PRUNE)
         assert _load_payload(directory) == [1, 2, 3]
-        assert manifest.stage == STAGE_PRUNE
+        assert manifest.kind == f"checkpoint:{STAGE_PRUNE}"
         assert manifest.fingerprint == "fp"
         assert manifest.complete
         assert manifest.meta["cursor"] == 42
@@ -96,7 +95,7 @@ class TestSaveAndVerify:
 class TestIntegrityRejection:
     def test_missing_manifest(self, tmp_path):
         ckpt = PipelineCheckpointer(tmp_path)
-        with pytest.raises(ArtifactIntegrityError, match="no checkpoint"):
+        with pytest.raises(ArtifactIntegrityError, match="no manifest"):
             ckpt.verify(STAGE_PRUNE)
 
     def test_tampered_artifact_rejected(self, tmp_path):
@@ -145,9 +144,9 @@ class TestIntegrityRejection:
         ckpt.save(STAGE_PRUNE, _write_payload([1]))
         manifest_path = ckpt.stage_dir(STAGE_PRUNE) / MANIFEST_FILENAME
         raw = json.loads(manifest_path.read_text())
-        raw["stage"] = STAGE_PROJECT
+        raw["kind"] = f"checkpoint:{STAGE_PROJECT}"
         manifest_path.write_text(json.dumps(raw))
-        with pytest.raises(ArtifactIntegrityError, match="records stage"):
+        with pytest.raises(ArtifactIntegrityError, match="expected"):
             ckpt.verify(STAGE_PRUNE)
 
     def test_garbage_manifest_rejected(self, tmp_path):
@@ -160,7 +159,7 @@ class TestIntegrityRejection:
 
     def test_manifest_from_json_requires_object(self):
         with pytest.raises(ArtifactIntegrityError):
-            StageManifest.from_json("[1, 2]")
+            ArtifactManifest.from_json("[1, 2]")
 
 
 class TestResumeBookkeeping:

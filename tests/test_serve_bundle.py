@@ -5,20 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.artifacts import MANIFEST_FILENAME, SCHEMA_VERSION
 from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
-from repro.serve import BUNDLE_SCHEMA_VERSION, BundleManifest, ModelBundle
-from repro.serve.bundle import MANIFEST_FILENAME
+from repro.serve import ModelBundle, ModelRegistry
+from repro.serve.bundle import BUNDLE_KIND
+from repro.serve.registry import CURRENT_FILENAME
 
 
 class TestCreate:
     def test_manifest_filled_from_inputs(self, make_bundle):
         bundle = make_bundle(seed=3, count=10, dimension=4)
         manifest = bundle.manifest
-        assert manifest.schema_version == BUNDLE_SCHEMA_VERSION
-        assert manifest.domain_count == 10
-        assert manifest.feature_dimension == 4
-        assert manifest.config_fingerprint == "fp-3"
-        assert manifest.threshold == bundle.classifier.threshold_
+        assert manifest.kind == BUNDLE_KIND
+        assert manifest.schema_version == SCHEMA_VERSION
+        assert manifest.fingerprint == "fp-3"
         assert manifest.created_at == pytest.approx(1_700_000_003.0)
 
     def test_row_mismatch_rejected(self, make_bundle):
@@ -71,9 +71,8 @@ class TestRoundTrip:
         bundle = make_bundle(seed=4, metrics={"auc": 0.93})
         bundle.save(tmp_path / "bundle")
         loaded = ModelBundle.load(tmp_path / "bundle")
-        assert loaded.manifest.config_fingerprint == "fp-4"
-        assert loaded.manifest.metrics == {"auc": 0.93}
-        assert loaded.manifest.threshold == bundle.manifest.threshold
+        assert loaded.manifest.fingerprint == "fp-4"
+        assert loaded.manifest.meta == {"auc": 0.93}
         assert set(loaded.manifest.files) == {
             "classifier.npz", "features.npz",
         }
@@ -103,7 +102,7 @@ class TestIntegrity:
         bundle = make_bundle()
         directory = bundle.save(tmp_path / "bundle")
         (directory / MANIFEST_FILENAME).unlink()
-        with pytest.raises(DatasetError, match="manifest"):
+        with pytest.raises(ArtifactIntegrityError, match="manifest"):
             ModelBundle.load(directory)
 
     def test_unsupported_schema_version_rejected(self, make_bundle, tmp_path):
@@ -111,39 +110,48 @@ class TestIntegrity:
         directory = bundle.save(tmp_path / "bundle")
         manifest_path = directory / MANIFEST_FILENAME
         raw = json.loads(manifest_path.read_text())
-        raw["schema_version"] = BUNDLE_SCHEMA_VERSION + 1
+        raw["schema_version"] = SCHEMA_VERSION + 1
         manifest_path.write_text(json.dumps(raw))
-        with pytest.raises(DatasetError, match="schema version"):
+        with pytest.raises(ArtifactIntegrityError, match="schema version"):
             ModelBundle.load(directory)
 
     def test_garbage_manifest_rejected(self, make_bundle, tmp_path):
         bundle = make_bundle()
         directory = bundle.save(tmp_path / "bundle")
         (directory / MANIFEST_FILENAME).write_text("not json {")
-        with pytest.raises(DatasetError, match="unreadable"):
+        with pytest.raises(ArtifactIntegrityError, match="unreadable"):
             ModelBundle.load(directory)
 
 
-class TestManifestJson:
-    def test_json_round_trip(self):
-        manifest = BundleManifest(
-            created_at=123.0,
-            config_fingerprint="abc",
-            metrics={"f1": 0.9},
-            domain_count=7,
-            feature_dimension=48,
-            threshold=-0.25,
-            files={"classifier.npz": "00ff"},
-        )
-        assert BundleManifest.from_json(manifest.to_json()) == manifest
+class TestAtomicSave:
+    """A bundle write is atomic by itself, not only inside the registry."""
 
-    def test_unknown_fields_ignored(self):
-        text = json.dumps(
-            {"schema_version": 1, "domain_count": 3, "novel_field": True}
-        )
-        manifest = BundleManifest.from_json(text)
-        assert manifest.domain_count == 3
+    @staticmethod
+    def _fail_features_write(monkeypatch):
+        def partial_write(path, **arrays):
+            path.write_bytes(b"partial")
+            raise OSError("disk full")
 
-    def test_non_object_rejected(self):
-        with pytest.raises(DatasetError, match="JSON object"):
-            BundleManifest.from_json("[1, 2]")
+        monkeypatch.setattr("repro.serve.bundle.write_arrays", partial_write)
+
+    def test_failed_publish_leaves_registry_as_it_was(
+        self, make_bundle, tmp_path, monkeypatch
+    ):
+        registry = ModelRegistry(tmp_path / "models")
+        registry.publish(make_bundle(seed=1))
+        self._fail_features_write(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            registry.publish(make_bundle(seed=2))
+        monkeypatch.undo()
+        assert not registry.slot_path(2).exists()
+        assert [e.name for e in registry.root.iterdir() if e.name.startswith(".")] == []
+        assert (registry.root / CURRENT_FILENAME).read_text().strip() == "1"
+        assert registry.load().manifest.fingerprint == "fp-1"
+        assert registry.load(1).domains == make_bundle(seed=1).domains
+
+    def test_save_never_overwrites_a_bundle(self, make_bundle, tmp_path):
+        directory = make_bundle(seed=1).save(tmp_path / "bundle")
+        with pytest.raises(OSError):
+            make_bundle(seed=2).save(directory)
+        assert ModelBundle.load(directory).manifest.fingerprint == "fp-1"
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle"]

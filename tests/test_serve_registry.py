@@ -46,7 +46,7 @@ class TestPublish:
         (registry.root / "v0002").mkdir()
         version = registry.publish(make_bundle(seed=9))
         assert version == 3
-        assert registry.load(3).manifest.config_fingerprint == "fp-9"
+        assert registry.load(3).manifest.fingerprint == "fp-9"
 
     def test_slot_path_rejects_bad_version(self, tmp_path):
         registry = ModelRegistry(tmp_path / "models")
@@ -59,8 +59,8 @@ class TestLoad:
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))
         registry.publish(make_bundle(seed=2))
-        assert registry.load(1).manifest.config_fingerprint == "fp-1"
-        assert registry.load().manifest.config_fingerprint == "fp-2"
+        assert registry.load(1).manifest.fingerprint == "fp-1"
+        assert registry.load().manifest.fingerprint == "fp-2"
 
     def test_empty_registry_raises(self, tmp_path):
         registry = ModelRegistry(tmp_path / "models")

@@ -140,8 +140,8 @@ class TestStreamingDetector:
         assert version == 1
         bundle = registry.load(1)
         assert bundle.domains == stream.known_domains
-        assert bundle.manifest.metrics["refreshes"] == float(stream.refreshes)
-        assert bundle.manifest.metrics["records_ingested"] == float(
+        assert bundle.manifest.meta["refreshes"] == float(stream.refreshes)
+        assert bundle.manifest.meta["records_ingested"] == float(
             stream.builder.records_ingested
         )
         assert default_registry().gauge("serve.model_version").value == 1
