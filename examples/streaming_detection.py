@@ -57,7 +57,7 @@ def main() -> None:
         stream.ingest(batch)
 
         dataset = build_labeled_dataset(
-            feed, virustotal, sorted(stream.builder.host_domain.adjacency)
+            feed, virustotal, sorted(stream.graphs[0].adjacency)
         )
         stream.refresh(dataset)
         scores = stream.score(dataset.domains)

@@ -32,7 +32,7 @@ from repro.core.stages import (
     Stage,
     StageGraph,
 )
-from repro.core.streaming import IncrementalGraphBuilder, StreamingDetector
+from repro.core.streaming import StreamingDetector
 from repro.core.persistence import (
     load_bipartite_graph,
     load_classifier,
@@ -52,7 +52,6 @@ __all__ = [
     "ArtifactKey",
     "ArtifactStore",
     "ExecutionContext",
-    "IncrementalGraphBuilder",
     "PIPELINE_STAGES",
     "RunReport",
     "Stage",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -60,14 +61,11 @@ from repro.core.stages import (
     StageGraph,
 )
 from repro.dns.dhcp import DhcpLog, HostIdentityResolver
+from repro.dns.logfmt import TraceColumns
 from repro.dns.types import DnsQuery, DnsResponse
 from repro.embedding.line import LineConfig, LineEmbedding
 from repro.errors import ArtifactIntegrityError
-from repro.graphs.bipartite import (
-    BipartiteGraph,
-    build_domain_ip_graph,
-    build_query_graphs,
-)
+from repro.graphs.bipartite import BipartiteGraph, fold_columns_into_graphs
 from repro.graphs.core import VertexTable
 from repro.graphs.projection import SimilarityGraph, project_to_similarity
 from repro.graphs.pruning import PruningReport, PruningRules, prune_graphs
@@ -111,6 +109,7 @@ __all__ = [
     "PruneStage",
     "detection_graph",
     "detection_stages",
+    "empty_graph_triple",
     "line_config_for",
     "load_shared_graphs",
     "pipeline_fingerprint",
@@ -151,6 +150,21 @@ CHECKPOINT_STAGES: tuple[str, ...] = PIPELINE_STAGES
 #: The three bipartite graphs (HDBG, DIBG, DTBG) over one shared
 #: domain interner, in that order.
 GraphTriple = tuple[BipartiteGraph, BipartiteGraph, BipartiteGraph]
+
+
+def empty_graph_triple() -> GraphTriple:
+    """HDBG, DIBG and DTBG with no edges, over one new domain table.
+
+    Every graph source starts here and grows the triple with
+    :func:`~repro.graphs.bipartite.fold_columns_into_graphs`.
+    """
+    domains = VertexTable()
+    return (
+        BipartiteGraph(kind="host", left=domains),
+        BipartiteGraph(kind="ip", left=domains),
+        BipartiteGraph(kind="time", left=domains),
+    )
+
 
 RAW_GRAPHS: ArtifactKey[GraphTriple] = ArtifactKey("graphs.raw")
 RECORDS_INGESTED: ArtifactKey[int] = ArtifactKey("ingest.records")
@@ -274,9 +288,9 @@ def load_shared_graphs(directory: Path) -> GraphTriple:
 class BatchGraphStage(Stage[None, GraphTriple]):
     """In-memory graph construction from materialized record lists.
 
-    The batch source: one pass over the queries builds HDBG + DTBG over
-    a shared domain interner, one pass over the responses builds DIBG.
-    Not checkpointed — the out-of-core source
+    The batch source: the queries, then the responses, go through one
+    column fold into a fresh :func:`empty_graph_triple`. Not
+    checkpointed — the out-of-core source
     (:class:`repro.ingest.runner.ChunkedIngestStage`) owns persistence.
     """
 
@@ -301,20 +315,20 @@ class BatchGraphStage(Stage[None, GraphTriple]):
         identity = (
             HostIdentityResolver(self.dhcp) if self.dhcp is not None else None
         )
-        queries = list(self.queries)
-        # One shared domain interner across all three views: ids (and
-        # therefore every downstream ordering) agree without re-sorting,
-        # and HDBG + DTBG come from a single pass.
-        domains = VertexTable()
-        host_domain, domain_time = build_query_graphs(
-            queries,
-            identity,
-            window_seconds=self.window_seconds,
-            domains=domains,
+        columns = TraceColumns.from_records(
+            chain(self.queries, self.responses)
         )
-        domain_ip = build_domain_ip_graph(self.responses, domains=domains)
-        store.put(RAW_GRAPHS, (host_domain, domain_ip, domain_time))
-        store.put(RECORDS_INGESTED, len(queries))
+        graphs = empty_graph_triple()
+        fold_columns_into_graphs(
+            columns,
+            *graphs,
+            identity=identity,
+            window_seconds=self.window_seconds,
+        )
+        for graph in graphs:
+            graph.edges.compact()
+        store.put(RAW_GRAPHS, graphs)
+        store.put(RECORDS_INGESTED, len(columns.query_qnames))
 
 
 class PruneStage(Stage[GraphTriple, GraphTriple]):

@@ -147,12 +147,8 @@ def load_bipartite_graph(path: str | Path) -> BipartiteGraph:
         right = VertexTable.from_arrays(
             archive["right_values"], archive["right_codes"]
         )
-        edges = EdgeList()
-        edges.extend_raw(
-            np.asarray(archive["lefts"], dtype=np.int64),
-            np.asarray(archive["rights"], dtype=np.int64),
-        )
-        edges.compact()
+        # Saved from ``edges.columns()``, so already duplicate-free.
+        edges = EdgeList._from_trusted(archive["lefts"], archive["rights"])
         return BipartiteGraph(
             kind=str(archive["kind"]), left=left, right=right, edges=edges
         )

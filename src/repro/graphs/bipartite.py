@@ -99,7 +99,6 @@ class BipartiteGraph:
     def __init__(
         self,
         kind: str,
-        adjacency: Mapping | None = None,
         *,
         left: VertexTable | None = None,
         right: VertexTable | None = None,
@@ -109,10 +108,6 @@ class BipartiteGraph:
         self.left = left if left is not None else VertexTable()
         self.right = right if right is not None else VertexTable()
         self.edges = edges if edges is not None else EdgeList()
-        if adjacency:
-            for domain, neighbors in adjacency.items():
-                for vertex in neighbors:
-                    self.add_edge(domain, vertex)
 
     def __repr__(self) -> str:
         return (
@@ -121,7 +116,9 @@ class BipartiteGraph:
         )
 
     def add_edge(self, domain: str, right_vertex: Hashable) -> None:
-        self.edges.add(self.left.intern(domain), self.right.intern(right_vertex))
+        self.edges.append_raw(
+            self.left.intern(domain), self.right.intern(right_vertex)
+        )
 
     @property
     def adjacency(self) -> AdjacencyView:

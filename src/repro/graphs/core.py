@@ -10,9 +10,7 @@ whole graph layer now builds on:
   integer ids, with a *typed deterministic* ordering that replaces the
   old rebuild-unstable ``sorted(key=repr)``;
 * :class:`EdgeList` — append-only interned ``(left_id, right_id)`` edge
-  buffers with two ingestion modes (eager hash-deduplication for
-  streaming, raw append + periodic vectorized compaction for batch
-  builders), O(1) edge/vertex counters in eager mode, and a lazily
+  buffers: raw appends, one vectorized compaction on read, and a lazily
   built CSR index for O(degree) neighborhood queries.
 
 Compaction policy: raw appends go straight into growable numpy buffers;
@@ -229,18 +227,10 @@ def _normalise_for_arrays(
 class EdgeList:
     """Append-only columnar (left_id, right_id) edge buffer.
 
-    Two ingestion modes:
-
-    * :meth:`add` — eager mode: a packed-key hash index rejects
-      duplicate edges at append time, keeping :attr:`edge_count`,
-      :meth:`left_count` and per-graph vertex bookkeeping exact in O(1).
-      This is the streaming path, where metric gauges read the counters
-      after every batch.
-    * :meth:`extend_raw` / :meth:`append_raw` — raw mode: edges land in
-      the buffers unchecked (duplicates allowed) and the next structural
-      query triggers :meth:`compact`, a single vectorized dedup pass.
-      This is the batch-builder path, where per-record hash lookups
-      would dominate the hot loop.
+    :meth:`extend_raw` / :meth:`append_raw` put edges in the buffers
+    unchecked (duplicates allowed); the next structural query triggers
+    :meth:`compact`, a single vectorized dedup pass, so a builder pays
+    no per-edge hash lookup.
 
     The CSR index (neighbors grouped by left id) is built lazily and
     cached until the next append dirties it.
@@ -251,8 +241,6 @@ class EdgeList:
         "_right",
         "_n",
         "_deduped",
-        "_seen",
-        "_left_seen",
         "_left_order",
         "_csr_order",
         "_csr_indptr",
@@ -265,10 +253,6 @@ class EdgeList:
         self._n = 0
         #: Buffer known duplicate-free (raw appends clear this).
         self._deduped = True
-        # Eager-mode hash indexes; None = not built. They are only
-        # needed by add() — batch paths never pay for them.
-        self._seen: set[int] | None = set()
-        self._left_seen: set[int] | None = set()
         #: Distinct left ids in first-occurrence order; None = unknown.
         self._left_order: list[int] | None = []
         self._csr_order: np.ndarray | None = None
@@ -291,38 +275,6 @@ class EdgeList:
         self._csr_indptr = None
         self._right_used = None
 
-    def _build_hash_index(self) -> None:
-        """(Re)build the eager-mode indexes from the compacted buffer."""
-        self.compact()
-        lefts = self._left[: self._n]
-        rights = self._right[: self._n]
-        packed = (lefts.astype(np.uint64) << _PACK_SHIFT) | rights.astype(
-            np.uint64
-        )
-        self._seen = set(packed.tolist())
-        self._left_order = self.left_ids_ordered()
-        self._left_seen = set(self._left_order)
-
-    def add(self, left: int, right: int) -> bool:
-        """Append one edge with eager dedup; True when the edge is new."""
-        if self._seen is None:
-            self._build_hash_index()
-        assert self._seen is not None
-        assert self._left_seen is not None and self._left_order is not None
-        key = (left << 32) | right
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        if left not in self._left_seen:
-            self._left_seen.add(left)
-            self._left_order.append(left)
-        self._grow_to(self._n + 1)
-        self._left[self._n] = left
-        self._right[self._n] = right
-        self._n += 1
-        self._invalidate_caches()
-        return True
-
     def append_raw(self, left: int, right: int) -> None:
         """Append one edge without dedup (compacted later)."""
         self._grow_to(self._n + 1)
@@ -330,8 +282,6 @@ class EdgeList:
         self._right[self._n] = right
         self._n += 1
         self._deduped = False
-        self._seen = None
-        self._left_seen = None
         self._left_order = None
         self._invalidate_caches()
 
@@ -352,8 +302,6 @@ class EdgeList:
         self._right[self._n : self._n + right_arr.size] = right_arr
         self._n += left_arr.size
         self._deduped = False
-        self._seen = None
-        self._left_seen = None
         self._left_order = None
         self._invalidate_caches()
 
@@ -363,10 +311,7 @@ class EdgeList:
         """Vectorized dedup of the raw buffer, first-occurrence order.
 
         One ``np.unique`` pass over packed 64-bit keys; idempotent and a
-        no-op when the buffer is already duplicate-free. The eager-mode
-        hash indexes are *not* rebuilt here — :meth:`add` rebuilds them
-        on demand, so pure batch pipelines never pay for a Python-set
-        index over millions of edges.
+        no-op when the buffer is already duplicate-free.
         """
         if self._deduped:
             return
@@ -394,8 +339,6 @@ class EdgeList:
         edges._right = np.ascontiguousarray(rights, dtype=np.int64)
         edges._n = edges._left.size
         edges._deduped = True
-        edges._seen = None
-        edges._left_seen = None
         edges._left_order = None
         return edges
 
@@ -403,15 +346,14 @@ class EdgeList:
 
     @property
     def edge_count(self) -> int:
-        """Number of distinct edges — O(1) once compacted / in eager mode."""
+        """Number of distinct edges — O(1) once compacted."""
         if not self._deduped:
             self.compact()
         return self._n
 
     def left_count(self) -> int:
-        """Number of distinct left vertices with >= 1 edge — O(1) eager."""
-        return len(self.left_ids_ordered()) if self._left_order is None \
-            else len(self._left_order)
+        """Number of distinct left vertices with >= 1 edge."""
+        return len(self.left_ids_ordered())
 
     def left_ids_ordered(self) -> list[int]:
         """Distinct left ids in first-occurrence order."""

@@ -83,12 +83,15 @@ class PipelineCheckpointer:
         return (self.stage_dir(stage) / MANIFEST_FILENAME).is_file()
 
     def total_bytes(self) -> int:
-        """Total size of every file under the checkpoint root."""
-        if not self.root.is_dir():
-            return 0
+        """Total size of the files in every stage directory.
+
+        A ``.staging-*`` directory that a killed writer left under the
+        root is not a checkpoint, so it is not counted.
+        """
         return sum(
             entry.stat().st_size
-            for entry in self.root.rglob("*")
+            for stage in CHECKPOINT_STAGES
+            for entry in self.stage_dir(stage).rglob("*")
             if entry.is_file()
         )
 

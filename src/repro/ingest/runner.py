@@ -55,6 +55,7 @@ from repro.core.dataflow import (
     EmbedStage,
     GraphTriple,
     detection_stages,
+    empty_graph_triple,
     load_shared_graphs,
     pipeline_fingerprint,
     write_graph_files,
@@ -68,8 +69,7 @@ from repro.core.stages import (
 )
 from repro.dns.dhcp import DhcpLog, HostIdentityResolver
 from repro.errors import IngestError
-from repro.graphs.bipartite import BipartiteGraph, fold_columns_into_graphs
-from repro.graphs.core import VertexTable
+from repro.graphs.bipartite import fold_columns_into_graphs
 from repro.ingest.checkpoint import PipelineCheckpointer
 from repro.ingest.chunking import ChunkedTraceReader, ChunkPolicy
 from repro.labels.dataset import LabeledDataset
@@ -179,12 +179,7 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
         cursor = store.maybe(INGEST_CURSOR) or 0
         graphs = store.maybe(RAW_GRAPHS)
         if graphs is None:
-            domains = VertexTable()
-            graphs = (
-                BipartiteGraph(kind="host", left=domains),
-                BipartiteGraph(kind="ip", left=domains),
-                BipartiteGraph(kind="time", left=domains),
-            )
+            graphs = empty_graph_triple()
         host, ip_graph, time_graph = graphs
         ckpt = ctx.checkpointer
         every = self.checkpoint_every_chunks

@@ -1,7 +1,7 @@
 """Unit tests for the interned columnar graph core (repro.graphs.core).
 
-Covers the VertexTable interner, the array-backed EdgeList (eager and
-batch ingestion modes), the read-only AdjacencyView, the typed
+Covers the VertexTable interner, the array-backed EdgeList (raw appends
+and compaction on read), the read-only AdjacencyView, the typed
 deterministic right-vertex ordering, bipartite .npz persistence, and a
 golden-equivalence check of the vectorized batch builders against a
 straightforward dict-of-sets reference implementation on the fixed-seed
@@ -169,27 +169,31 @@ class TestVertexTableArrays:
             )
 
 
-class TestEdgeListEager:
-    def test_add_dedups_and_counts(self):
+class TestEdgeListQueries:
+    def test_append_raw_dedups_on_read(self):
         edges = EdgeList()
-        assert edges.add(0, 1) is True
-        assert edges.add(0, 1) is False
-        assert edges.add(1, 1) is True
+        edges.append_raw(0, 1)
+        edges.append_raw(0, 1)
+        edges.append_raw(1, 1)
         assert edges.edge_count == 2
         assert edges.left_count() == 2
+        edges.append_raw(0, 1)
+        edges.append_raw(2, 2)
+        assert edges.edge_count == 3
+        assert edges.left_count() == 3
 
     def test_left_ids_ordered_is_first_edge_order(self):
         edges = EdgeList()
-        edges.add(5, 0)
-        edges.add(2, 0)
-        edges.add(5, 1)
+        edges.append_raw(5, 0)
+        edges.append_raw(2, 0)
+        edges.append_raw(5, 1)
         assert edges.left_ids_ordered() == [5, 2]
 
     def test_neighbors_and_degrees(self):
         edges = EdgeList()
-        edges.add(0, 3)
-        edges.add(0, 7)
-        edges.add(1, 3)
+        edges.append_raw(0, 3)
+        edges.append_raw(0, 7)
+        edges.append_raw(1, 3)
         assert sorted(edges.neighbors_of_left(0).tolist()) == [3, 7]
         assert edges.degree_of_left(0) == 2
         assert edges.degree_of_left(99) == 0
@@ -197,9 +201,9 @@ class TestEdgeListEager:
 
     def test_right_ids_used_sorted_unique(self):
         edges = EdgeList()
-        edges.add(0, 9)
-        edges.add(1, 4)
-        edges.add(2, 9)
+        edges.append_raw(0, 9)
+        edges.append_raw(1, 4)
+        edges.append_raw(2, 9)
         assert edges.right_ids_used().tolist() == [4, 9]
 
 
@@ -212,15 +216,6 @@ class TestEdgeListBatch:
         assert lefts.tolist() == [3, 1, 2]
         assert edges.edge_count == 3
 
-    def test_append_raw_then_add_resumes_dedup(self):
-        edges = EdgeList()
-        edges.append_raw(0, 1)
-        edges.append_raw(0, 1)
-        # add() must rebuild its hash index over the raw buffer first.
-        assert edges.add(0, 1) is False
-        assert edges.add(2, 2) is True
-        assert edges.edge_count == 2
-
     def test_extend_raw_shape_mismatch(self):
         from repro.errors import GraphConstructionError
 
@@ -230,15 +225,15 @@ class TestEdgeListBatch:
 
     def test_copy_is_independent(self):
         edges = EdgeList()
-        edges.add(0, 1)
+        edges.append_raw(0, 1)
         clone = edges.copy()
-        clone.add(5, 5)
+        clone.append_raw(5, 5)
         assert edges.edge_count == 1
         assert clone.edge_count == 2
 
     def test_columns_are_read_only(self):
         edges = EdgeList()
-        edges.add(0, 1)
+        edges.append_raw(0, 1)
         lefts, __ = edges.columns()
         with pytest.raises(ValueError):
             lefts[0] = 9

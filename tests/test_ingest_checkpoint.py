@@ -91,6 +91,16 @@ class TestSaveAndVerify:
         value = registry.snapshot()["gauges"]["checkpoint.bytes"]["value"]
         assert value == ckpt.total_bytes() > 0
 
+    def test_total_bytes_skips_leftover_staging(self, tmp_path):
+        ckpt = PipelineCheckpointer(tmp_path)
+        ckpt.save(STAGE_PRUNE, _write_payload([1, 2, 3]))
+        saved = ckpt.total_bytes()
+        # What a writer killed mid-save leaves next to the stage dirs.
+        leftover = tmp_path / ".staging-x"
+        leftover.mkdir()
+        (leftover / "f").write_bytes(b"\0" * 4096)
+        assert ckpt.total_bytes() == saved > 0
+
 
 class TestIntegrityRejection:
     def test_missing_manifest(self, tmp_path):

@@ -8,7 +8,9 @@ from repro import (
     SimulatedVirusTotal,
     build_labeled_dataset,
 )
-from repro.core.streaming import IncrementalGraphBuilder, StreamingDetector
+from repro.core.dataflow import RAW_GRAPHS, BatchGraphStage
+from repro.core.stages import ArtifactStore, ExecutionContext
+from repro.core.streaming import StreamingDetector
 from repro.dns.types import DnsQuery, DnsResponse, QueryType, ResourceRecord
 from repro.embedding.line import LineConfig
 from repro.errors import NotFittedError
@@ -25,58 +27,63 @@ def response(t, qname, ips=()):
     )
 
 
-class TestIncrementalGraphBuilder:
+class TestStreamingIngest:
     def test_batches_accumulate(self):
-        builder = IncrementalGraphBuilder()
-        builder.ingest([query(1.0, "h1", "a.example.com")])
-        builder.ingest([query(70.0, "h2", "b.example.com")])
-        assert builder.host_domain.neighbors("example.com") == {"h1", "h2"}
-        assert builder.domain_time.neighbors("example.com") == {0, 1}
-        assert builder.records_ingested == 2
+        stream = StreamingDetector()
+        stream.ingest([query(1.0, "h1", "a.example.com")])
+        stream.ingest([query(70.0, "h2", "b.example.com")])
+        host_domain, __, domain_time = stream.graphs
+        assert host_domain.neighbors("example.com") == {"h1", "h2"}
+        assert domain_time.neighbors("example.com") == {0, 1}
+        assert stream.records_ingested == 2
 
     def test_responses_feed_ip_graph(self):
-        builder = IncrementalGraphBuilder()
-        builder.ingest(
+        stream = StreamingDetector()
+        stream.ingest(
             [
                 response(1.0, "www.example.com", ["93.0.0.1"]),
                 response(2.0, "example.com", ["93.0.0.2"]),
             ]
         )
-        assert builder.domain_ip.neighbors("example.com") == {
+        assert stream.graphs[1].neighbors("example.com") == {
             "93.0.0.1", "93.0.0.2",
         }
 
     def test_nxdomain_and_invalid_names_skipped(self):
-        builder = IncrementalGraphBuilder()
-        builder.ingest(
+        stream = StreamingDetector()
+        stream.ingest(
             [
                 DnsResponse(1.0, 1, "10.0.0.1", "gone.example.com",
                             nxdomain=True),
                 query(2.0, "h1", "!!bad!!"),
             ]
         )
-        assert builder.domain_ip.domain_count == 0
-        assert builder.host_domain.domain_count == 0
-
-    def test_latest_timestamp_tracked(self):
-        builder = IncrementalGraphBuilder()
-        builder.ingest([query(5.0, "h", "a.com"), query(3.0, "h", "b.com")])
-        assert builder.latest_timestamp == 5.0
+        host_domain, domain_ip, __ = stream.graphs
+        assert domain_ip.domain_count == 0
+        assert host_domain.domain_count == 0
+        assert stream.records_ingested == 2
 
     def test_matches_batch_construction(self, tiny_trace):
-        """Incremental ingestion equals the batch graph builders."""
-        from repro.graphs.bipartite import build_host_domain_graph
-
-        builder = IncrementalGraphBuilder(dhcp=tiny_trace.dhcp)
-        half = len(tiny_trace.queries) // 2
-        builder.ingest(tiny_trace.queries[:half])
-        builder.ingest(tiny_trace.queries[half:])
-        from repro.dns.dhcp import HostIdentityResolver
-
-        batch = build_host_domain_graph(
-            tiny_trace.queries, HostIdentityResolver(tiny_trace.dhcp)
+        """Uneven batches fold to the batch source's graphs, every view."""
+        merged = sorted(
+            [*tiny_trace.queries, *tiny_trace.responses],
+            key=lambda r: r.timestamp,
         )
-        assert builder.host_domain.adjacency == batch.adjacency
+        stream = StreamingDetector(dhcp=tiny_trace.dhcp)
+        bounds = [0, 1, 8, 708, len(merged)]
+        for start, stop in zip(bounds, bounds[1:]):
+            assert stream.ingest(merged[start:stop]) == stop - start
+        assert stream.records_ingested == len(merged)
+
+        store = ArtifactStore()
+        BatchGraphStage(
+            tiny_trace.queries, tiny_trace.responses, tiny_trace.dhcp
+        ).run(store, ExecutionContext())
+        batch = store.get(RAW_GRAPHS)
+        for streamed, built in zip(stream.graphs, batch):
+            assert streamed.kind == built.kind
+            assert streamed.edge_count == built.edge_count > 0
+            assert streamed.adjacency == built.adjacency
 
 
 class TestStreamingDetector:
@@ -100,7 +107,7 @@ class TestStreamingDetector:
             return build_labeled_dataset(
                 feed,
                 virustotal,
-                sorted(stream.builder.host_domain.adjacency),
+                sorted(stream.graphs[0].adjacency),
             )
 
         return stream, merged[half:], make_dataset, tiny_trace
@@ -111,9 +118,14 @@ class TestStreamingDetector:
             stream.score(["a.com"])
 
     def test_refresh_then_score(self, stream_setup):
+        from repro.obs.metrics import default_registry
+
         stream, remaining, make_dataset, trace = stream_setup
         stream.refresh(make_dataset())
         assert stream.refreshes == 1
+        domain_time = stream.graphs[2]
+        gauge = default_registry().gauge("streaming.domain_time.edges")
+        assert gauge.value == domain_time.edge_count > 0
         scores = stream.score(stream.known_domains[:5])
         assert scores.shape == (5,)
 
@@ -142,7 +154,7 @@ class TestStreamingDetector:
         assert bundle.domains == stream.known_domains
         assert bundle.manifest.meta["refreshes"] == float(stream.refreshes)
         assert bundle.manifest.meta["records_ingested"] == float(
-            stream.builder.records_ingested
+            stream.records_ingested
         )
         assert default_registry().gauge("serve.model_version").value == 1
         # A second refresh->publish cycle appends, never overwrites.
