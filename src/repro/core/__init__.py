@@ -33,20 +33,6 @@ from repro.core.stages import (
     StageGraph,
 )
 from repro.core.streaming import StreamingDetector
-from repro.core.persistence import (
-    load_bipartite_graph,
-    load_classifier,
-    load_embedding,
-    load_feature_space,
-    load_scaler,
-    load_similarity_graph,
-    save_bipartite_graph,
-    save_classifier,
-    save_embedding,
-    save_feature_space,
-    save_scaler,
-    save_similarity_graph,
-)
 
 __all__ = [
     "ArtifactKey",
@@ -59,19 +45,7 @@ __all__ = [
     "StreamingDetector",
     "detection_graph",
     "detection_stages",
-    "load_bipartite_graph",
-    "load_classifier",
-    "load_embedding",
-    "load_feature_space",
-    "load_scaler",
-    "load_similarity_graph",
     "pipeline_fingerprint",
-    "save_bipartite_graph",
-    "save_classifier",
-    "save_embedding",
-    "save_feature_space",
-    "save_scaler",
-    "save_similarity_graph",
     "ClusterReport",
     "DomainCluster",
     "DomainClusterer",

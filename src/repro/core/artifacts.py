@@ -1,31 +1,44 @@
-"""Artifact directories: one manifest, one atomic writer, one verifier.
+"""Artifact directories: one manifest, one payload format, one writer, one reader.
 
 Stage checkpoints (:mod:`repro.ingest.checkpoint`) and model bundles
-(:mod:`repro.serve.bundle`) are both a directory of typed ``.npz`` files
-plus a ``manifest.json`` recording every file's SHA-256. This module
-owns that format: the :class:`ArtifactManifest` and its one parser,
-which type-checks every field; :func:`write_artifact`, which stages,
-hashes and writes the manifest last; and :func:`verify`. Manifests of
-schema version 1, from before the two kinds shared this format, are
-refused with a message naming the fix.
+(:mod:`repro.serve.bundle`) are both a directory of ``.npz`` files plus
+a ``manifest.json``, and this module is the only place that encodes or
+decodes an ``.npz``. A payload is data, ``{file name: {member: array}}``,
+with no 0-d member: every scalar is a JSON value in the manifest's
+``meta`` (JSON round-trips a float64 exactly). :func:`write_artifact`
+stages, hashes and writes the manifest last; :func:`read_artifact` reads
+each listed file once and decodes the same bytes it checked. Objects map
+to payloads through :mod:`repro.core.persistence`. Manifests of schema
+version 1 or 2 are refused with a message naming the fix.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import tempfile
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
+
+import numpy as np
 
 from repro.errors import ArtifactIntegrityError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MANIFEST_FILENAME = "manifest.json"
+#: Name prefix of the hidden directory a write is staged in.
+STAGING_PREFIX = ".staging-"
+
+#: The members of one ``.npz`` file, by name.
+Arrays = Mapping[str, np.ndarray]
+#: An artifact's payload: the members of each of its files.
+Payload = Mapping[str, Arrays]
 
 #: Required manifest fields besides ``schema_version``, with their JSON
 #: types (a bool is accepted only where the type is ``bool``).
@@ -58,8 +71,9 @@ class ArtifactManifest:
         complete: False only for rolling mid-stage checkpoints, which a
             resumed run continues instead of skipping.
         files: File name -> hex SHA-256, filled in by the writer.
-        meta: Small JSON-safe payload: a checkpoint's stage state, a
-            bundle's training metric summary.
+        meta: Every scalar of the artifact, as JSON: a checkpoint's
+            stage state and codec fields, a bundle's training metrics
+            and classifier fields.
     """
 
     kind: str
@@ -119,6 +133,17 @@ class ArtifactManifest:
         return cls(schema_version=version, **known)
 
 
+class _Checked(dict):
+    """A decoded mapping in which a missing key is an integrity error."""
+
+    def __init__(self, source: str, items: Mapping[str, Any]) -> None:
+        super().__init__(items)
+        self.source = source
+
+    def __missing__(self, key: str) -> Any:
+        raise ArtifactIntegrityError(f"{self.source} has no {key!r}")
+
+
 def sha256_file(path: str | Path) -> str:
     """Hex SHA-256 of a file, streamed in 1 MiB chunks."""
     digest = hashlib.sha256()
@@ -129,34 +154,44 @@ def sha256_file(path: str | Path) -> str:
 
 
 def read_manifest(directory: Path) -> ArtifactManifest:
-    """Parse ``directory``'s manifest without hashing its files."""
+    """Parse ``directory``'s manifest without reading its files."""
     path = directory / MANIFEST_FILENAME
     if not path.is_file():
         raise ArtifactIntegrityError(f"no manifest under {directory}")
     return ArtifactManifest.from_json(path.read_text(encoding="utf-8"), str(path))
 
 
+def write_arrays(path: Path, **arrays: np.ndarray) -> None:
+    """Write ``arrays`` as a stored (uncompressed) ``.npz`` at ``path``.
+
+    The one place the encoding is decided: the arrays are mostly float
+    vectors that deflate shrinks by a fifth at many times the cost of
+    the write. :func:`read_artifact` reads deflated archives too.
+    """
+    np.savez(path, **arrays)
+
+
 def write_artifact(
     parent: Path,
     manifest: ArtifactManifest,
-    populate: Callable[[Path], None],
+    files: Payload,
     commit: Callable[[Path], T],
 ) -> T:
     """Write one artifact directory atomically; returns ``commit``'s result.
 
-    ``populate`` fills a fresh hidden staging directory under ``parent``.
-    Every file it leaves is hashed into ``manifest.files``, the manifest
-    is written last, and ``commit`` moves the staging directory to its
-    final place. If any step raises, the staging directory is removed.
+    Each entry of ``files`` becomes one ``.npz`` in a fresh hidden
+    staging directory under ``parent``; every file is hashed into
+    ``manifest.files``, the manifest is written last, and ``commit``
+    moves the staging directory to its final place. If any step
+    raises, the staging directory is removed.
     """
     parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=parent))
+    staging = Path(tempfile.mkdtemp(prefix=STAGING_PREFIX, dir=parent))
     try:
-        populate(staging)
+        for name, arrays in files.items():
+            write_arrays(staging / name, **arrays)
         manifest.files = {
-            entry.name: sha256_file(entry)
-            for entry in sorted(staging.iterdir())
-            if entry.is_file()
+            name: sha256_file(staging / name) for name in sorted(files)
         }
         (staging / MANIFEST_FILENAME).write_text(
             manifest.to_json(), encoding="utf-8"
@@ -167,13 +202,18 @@ def write_artifact(
         raise
 
 
-def verify(directory: Path, kind: str, fingerprint: str = "") -> ArtifactManifest:
-    """Check the artifact under ``directory`` before it is loaded.
+def read_artifact(
+    directory: Path, kind: str, fingerprint: str = ""
+) -> tuple[ArtifactManifest, dict[str, dict[str, np.ndarray]]]:
+    """Check and decode the artifact under ``directory``.
 
-    Checks schema version, ``kind``, ``fingerprint`` (unless empty),
-    that the directory holds no file the manifest does not list, and the
-    presence and checksum of every listed one; returns the manifest or
-    raises :class:`~repro.errors.ArtifactIntegrityError`.
+    Checks schema version, ``kind``, ``fingerprint`` (unless empty) and
+    that the directory holds no file the manifest does not list. Then
+    each listed file is read once: its SHA-256 is checked on the bytes
+    read and those bytes are decoded. Returns the manifest and
+    ``{file name: {member: array}}``; a file or member the caller asks
+    for that is not there, like every other defect, raises
+    :class:`~repro.errors.ArtifactIntegrityError`.
     """
     manifest = read_manifest(directory)
     if manifest.kind != kind:
@@ -188,14 +228,30 @@ def verify(directory: Path, kind: str, fingerprint: str = "") -> ArtifactManifes
     present = {p.name for p in directory.iterdir()} - {MANIFEST_FILENAME}
     if unlisted := sorted(present - manifest.files.keys()):
         raise ArtifactIntegrityError(f"{directory} holds unlisted files {unlisted}")
+    files: dict[str, dict[str, np.ndarray]] = {}
     for name, expected in manifest.files.items():
         path = directory / name
-        if not path.is_file():
-            raise ArtifactIntegrityError(f"artifact file missing: {path}")
-        actual = sha256_file(path)
+        try:
+            data = path.read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            raise ArtifactIntegrityError(f"artifact file missing: {path}") from None
+        actual = hashlib.sha256(data).hexdigest()
         if actual != expected:
             raise ArtifactIntegrityError(
                 f"checksum mismatch for {path}: manifest {expected[:12]}..., "
                 f"file {actual[:12]}..."
             )
-    return manifest
+        files[name] = _decode(data, path)
+    return manifest, _Checked(str(directory), files)
+
+
+def _decode(data: bytes, path: Path) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive held in ``data``."""
+    if data[:4] not in (b"PK\x03\x04", b"PK\x05\x06"):
+        raise ArtifactIntegrityError(f"{path} is not an .npz archive")
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ArtifactIntegrityError(f"undecodable {path}: {exc}") from exc
+    return _Checked(str(path), members)

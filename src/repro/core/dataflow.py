@@ -17,9 +17,10 @@ pipeline step::
 :class:`~repro.core.stages.StageGraph`; the batch facade
 (:class:`~repro.core.pipeline.MaliciousDomainDetector`), the streaming
 refresh, and the checkpointed runner all execute these stages through
-the engine's one loop. Each stage's ``save_artifacts`` /
-``load_artifacts`` hooks decide the files of its checkpoint; the
-directory around them (manifest, atomic write, verification) is
+the engine's one loop. Each stage's ``save_artifacts`` hook turns its
+outputs into a checkpoint payload, ``(files, meta)``, with the codecs of
+:mod:`repro.core.persistence`, and ``load_artifacts`` turns the checked,
+decoded payload back; writing, hashing and reading the files is
 :mod:`repro.core.artifacts`.
 
 :func:`pipeline_fingerprint` lives here too: it hashes exactly the
@@ -33,25 +34,23 @@ import hashlib
 import json
 from dataclasses import asdict, replace
 from itertools import chain
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.artifacts import ArtifactManifest
+from repro.core.artifacts import Arrays, ArtifactManifest, Payload
 from repro.core.clustering import DomainCluster, DomainClusterer
 from repro.core.detector import ClassifierConfig, MaliciousDomainClassifier
 from repro.core.features import FeatureSpace, FeatureView
 from repro.core.persistence import (
-    load_bipartite_graph,
-    load_classifier,
-    load_feature_space,
-    load_similarity_graph,
-    save_bipartite_graph,
-    save_classifier,
-    save_feature_space,
-    save_similarity_graph,
-    write_arrays,
+    decode_bipartite_graph,
+    decode_classifier,
+    decode_embedding,
+    decode_similarity_graph,
+    encode_bipartite_graph,
+    encode_classifier,
+    encode_embedding,
+    encode_similarity_graph,
 )
 from repro.core.stages import (
     ArtifactKey,
@@ -64,7 +63,7 @@ from repro.dns.dhcp import DhcpLog, HostIdentityResolver
 from repro.dns.logfmt import TraceColumns
 from repro.dns.types import DnsQuery, DnsResponse
 from repro.embedding.line import LineConfig, LineEmbedding
-from repro.errors import ArtifactIntegrityError
+from repro.errors import GraphConstructionError
 from repro.graphs.bipartite import BipartiteGraph, fold_columns_into_graphs
 from repro.graphs.core import VertexTable
 from repro.graphs.projection import SimilarityGraph, project_to_similarity
@@ -107,13 +106,13 @@ __all__ = [
     "GraphTriple",
     "ProjectStage",
     "PruneStage",
+    "decode_graph_triple",
     "detection_graph",
     "detection_stages",
     "empty_graph_triple",
+    "encode_graph_triple",
     "line_config_for",
-    "load_shared_graphs",
     "pipeline_fingerprint",
-    "write_graph_files",
 ]
 
 _log = get_logger(__name__)
@@ -184,7 +183,8 @@ DECISION_SCORES: ArtifactKey[np.ndarray] = ArtifactKey("scores.decision")
 VERDICTS: ArtifactKey[np.ndarray] = ArtifactKey("scores.verdicts")
 CLUSTERS: ArtifactKey[list[DomainCluster]] = ArtifactKey("clusters")
 
-#: On-disk names of the graph-triple artifacts inside a checkpoint.
+#: On-disk names of the graph-triple files inside a checkpoint; the
+#: first (HDBG) also holds the shared domain table.
 GRAPH_FILES: tuple[str, str, str] = (
     "host_domain.npz",
     "domain_ip.npz",
@@ -233,53 +233,33 @@ def pipeline_fingerprint(
 
 # -- shared graph persistence helpers -------------------------------------
 
+def encode_graph_triple(graphs: GraphTriple) -> dict[str, Arrays]:
+    """The graph triple's checkpoint files, under :data:`GRAPH_FILES`.
 
-def write_graph_files(staging: Path, graphs: GraphTriple) -> None:
-    """Write the graph triple into ``staging`` under the canonical names.
-
-    Each file carries its own copy of the domain table (the layout
-    :func:`load_shared_graphs` reads), but a table the graphs share is
-    encoded once.
+    The domain table the three graphs share is stored once, in the HDBG
+    file; the other two hold only their right tables and edges.
     """
-    encoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for graph, name in zip(graphs, GRAPH_FILES):
-        left = encoded.get(id(graph.left))
-        if left is None:
-            left = encoded[id(graph.left)] = graph.left.to_arrays()
-        save_bipartite_graph(graph, staging / name, left_arrays=left)
+    host = graphs[0]
+    if any(graph.left is not host.left for graph in graphs):
+        raise GraphConstructionError(
+            "the graph triple must share one domain table"
+        )
+    return {
+        name: encode_bipartite_graph(graph, with_left=graph is host)
+        for graph, name in zip(graphs, GRAPH_FILES)
+    }
 
 
-def load_shared_graphs(directory: Path) -> GraphTriple:
-    """Load the three bipartite graphs, re-linking one shared left table.
-
-    The graphs were built over a single domain interner; persistence
-    writes each graph's (identical) copy of it, so the loader restores
-    one authoritative table and rebinds the other two graphs to it —
-    ``fold_columns_into_graphs`` requires that identity on resume.
-    """
-    host, ip_graph, time_graph = (
-        load_bipartite_graph(directory / name) for name in GRAPH_FILES
+def decode_graph_triple(files: Payload) -> GraphTriple:
+    """Inverse of :func:`encode_graph_triple`: three graphs over one
+    domain table, as ``fold_columns_into_graphs`` needs on resume."""
+    host_file, ip_file, time_file = GRAPH_FILES
+    host = decode_bipartite_graph(files[host_file], "host")
+    return (
+        host,
+        decode_bipartite_graph(files[ip_file], "ip", host.left),
+        decode_bipartite_graph(files[time_file], "time", host.left),
     )
-    shared = host.left
-    for other in (ip_graph, time_graph):
-        if len(other.left) != len(shared):
-            raise ArtifactIntegrityError(
-                f"checkpointed graphs under {directory} disagree on the "
-                "shared domain table"
-            )
-    ip_graph = BipartiteGraph(
-        kind=ip_graph.kind,
-        left=shared,
-        right=ip_graph.right,
-        edges=ip_graph.edges,
-    )
-    time_graph = BipartiteGraph(
-        kind=time_graph.kind,
-        left=shared,
-        right=time_graph.right,
-        edges=time_graph.edges,
-    )
-    return host, ip_graph, time_graph
 
 
 # -- stages ---------------------------------------------------------------
@@ -357,19 +337,18 @@ class PruneStage(Stage[GraphTriple, GraphTriple]):
         store.put(DOMAIN_ORDER, sorted(report.surviving_domains))
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
-        write_graph_files(staging, store.get(PRUNED_GRAPHS))
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
         report = store.get(PRUNING_REPORT)
-        write_arrays(
-            staging / "domains.npz",
-            surviving=np.array(store.get(DOMAIN_ORDER), dtype=np.str_),
-            dropped_popular=np.array(report.dropped_popular, dtype=np.str_),
-            dropped_single_host=np.array(
+        files = encode_graph_triple(store.get(PRUNED_GRAPHS))
+        files["domains.npz"] = {
+            "surviving": np.array(store.get(DOMAIN_ORDER), dtype=np.str_),
+            "dropped_popular": np.array(report.dropped_popular, dtype=np.str_),
+            "dropped_single_host": np.array(
                 report.dropped_single_host, dtype=np.str_
             ),
-        )
-        return {
+        }
+        return files, {
             "records_ingested": store.maybe(RECORDS_INGESTED) or 0,
             "total_hosts": report.total_hosts,
             "domains_before": report.domains_before,
@@ -377,23 +356,20 @@ class PruneStage(Stage[GraphTriple, GraphTriple]):
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
-        graphs = load_shared_graphs(directory)
-        with np.load(directory / "domains.npz") as archive:
-            order = [str(d) for d in archive["surviving"]]
-            report = PruningReport(
-                total_hosts=int(manifest.meta["total_hosts"]),
-                domains_before=int(manifest.meta["domains_before"]),
-                dropped_popular=[str(d) for d in archive["dropped_popular"]],
-                dropped_single_host=[
-                    str(d) for d in archive["dropped_single_host"]
-                ],
-                surviving_domains=set(order),
-            )
-        store.put(PRUNED_GRAPHS, graphs)
+        domains = files["domains.npz"]
+        order = domains["surviving"].tolist()
+        report = PruningReport(
+            total_hosts=int(manifest.meta["total_hosts"]),
+            domains_before=int(manifest.meta["domains_before"]),
+            dropped_popular=domains["dropped_popular"].tolist(),
+            dropped_single_host=domains["dropped_single_host"].tolist(),
+            surviving_domains=set(order),
+        )
+        store.put(PRUNED_GRAPHS, decode_graph_triple(files))
         store.put(DOMAIN_ORDER, order)
         store.put(PRUNING_REPORT, report)
         store.put(
@@ -436,20 +412,27 @@ class ProjectStage(
         )
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
+        files: dict[str, Arrays] = {}
+        views: dict[str, object] = {}
         for view, graph in store.get(SIMILARITY_GRAPHS).items():
-            save_similarity_graph(graph, staging / f"{view.value}.npz")
-        return {"domains": len(store.get(DOMAIN_ORDER))}
+            files[f"{view.value}.npz"], views[view.value] = (
+                encode_similarity_graph(graph)
+            )
+        return files, {"domains": len(store.get(DOMAIN_ORDER)), "views": views}
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
+        views = manifest.meta["views"]
         similarity = {
-            view: load_similarity_graph(directory / f"{view.value}.npz")
+            view: decode_similarity_graph(
+                files[f"{view.value}.npz"], views[view.value]
+            )
             for view in _VIEWS
         }
         store.put(SIMILARITY_GRAPHS, similarity)
@@ -500,19 +483,29 @@ class EmbedStage(
         )
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
         space = store.get(FEATURE_SPACE)
-        save_feature_space(space, staging)
-        return {"dimension": int(space.query.vectors.shape[1])}
+        files: dict[str, Arrays] = {}
+        views: dict[str, object] = {}
+        for view, embedding in zip(_VIEWS, (space.query, space.ip, space.temporal)):
+            files[f"{view.value}.npz"], views[view.value] = encode_embedding(
+                embedding
+            )
+        return files, {"dimension": space.query.dimension, "views": views}
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
-        space = load_feature_space(directory)
+        views = manifest.meta["views"]
+        query, ip, temporal = (
+            decode_embedding(files[f"{view.value}.npz"], views[view.value])
+            for view in _VIEWS
+        )
+        space = FeatureSpace(query=query, ip=ip, temporal=temporal)
         store.put(FEATURE_SPACE, space)
         if not store.has(DOMAIN_ORDER):
             store.put(DOMAIN_ORDER, list(space.query.domains))
@@ -574,39 +567,38 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
             store.put(VERDICTS, classifier.predict(matrix))
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
-        save_classifier(store.get(CLASSIFIER), staging / "classifier.npz")
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
+        classifier, classifier_meta = encode_classifier(store.get(CLASSIFIER))
         domains = store.get(SCORED_DOMAINS)
-        write_arrays(
-            staging / "scores.npz",
-            domains=np.array(domains, dtype=np.str_),
-            scores=store.get(DECISION_SCORES),
-            verdicts=store.get(VERDICTS),
-        )
-        return {
-            "domains": len(domains),
-            "kernel_cache_mb": self.classifier.kernel_cache_mb,
+        files = {
+            "classifier.npz": classifier,
+            "scores.npz": {
+                "domains": np.array(domains, dtype=np.str_),
+                "scores": store.get(DECISION_SCORES),
+                "verdicts": store.get(VERDICTS),
+            },
         }
+        return files, {"domains": len(domains), "classifier": classifier_meta}
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
-        store.put(CLASSIFIER, load_classifier(directory / "classifier.npz"))
-        with np.load(directory / "scores.npz") as archive:
-            store.put(
-                SCORED_DOMAINS, [str(d) for d in archive["domains"]]
-            )
-            store.put(
-                DECISION_SCORES,
-                np.asarray(archive["scores"], dtype=np.float64),
-            )
-            store.put(
-                VERDICTS, np.asarray(archive["verdicts"], dtype=np.int64)
-            )
+        store.put(
+            CLASSIFIER,
+            decode_classifier(
+                files["classifier.npz"], manifest.meta["classifier"]
+            ),
+        )
+        scores = files["scores.npz"]
+        store.put(SCORED_DOMAINS, scores["domains"].tolist())
+        store.put(
+            DECISION_SCORES, np.asarray(scores["scores"], dtype=np.float64)
+        )
+        store.put(VERDICTS, np.asarray(scores["verdicts"], dtype=np.int64))
 
 
 class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
@@ -650,8 +642,8 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
         )
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
         order = self._order(store)
         clusters = store.get(CLUSTERS)
         index_of = {domain: i for i, domain in enumerate(order)}
@@ -664,27 +656,28 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
             if clusters
             else np.empty((0, 0), dtype=np.float64)
         )
-        write_arrays(
-            staging / "clusters.npz",
-            labels=labels,
-            centers=centers,
-            cluster_ids=np.array(
-                [c.cluster_id for c in clusters], dtype=np.int64
-            ),
-        )
-        return {"clusters": len(clusters)}
+        files = {
+            "clusters.npz": {
+                "labels": labels,
+                "centers": centers,
+                "cluster_ids": np.array(
+                    [c.cluster_id for c in clusters], dtype=np.int64
+                ),
+            }
+        }
+        return files, {"clusters": len(clusters)}
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
         order = self._order(store)
-        with np.load(directory / "clusters.npz") as archive:
-            labels = np.asarray(archive["labels"], dtype=np.int64)
-            centers = np.asarray(archive["centers"], dtype=np.float64)
-            cluster_ids = np.asarray(archive["cluster_ids"], dtype=np.int64)
+        archive = files["clusters.npz"]
+        labels = np.asarray(archive["labels"], dtype=np.int64)
+        centers = np.asarray(archive["centers"], dtype=np.float64)
+        cluster_ids = np.asarray(archive["cluster_ids"], dtype=np.int64)
         # One pass groups every domain under its label, in domain order;
         # unclustered (-1) and unknown labels are dropped.
         members: dict[int, list[str]] = {

@@ -1,167 +1,155 @@
-"""Persistence for pipeline artifacts.
+"""Codecs between pipeline objects and artifact payloads.
 
-A deployment runs the expensive stages (graphs, projections, LINE) once
-per capture window and reuses the results; this module saves and restores
-them — embeddings, feature spaces, graphs, and the trained classifier
-and scaler (so scoring never requires retraining). Formats are plain
-``.npz`` (numpy) plus small JSON sidecars — no pickle, so artifacts are
-safe to share and stable across versions. Each function here handles
-one file; :mod:`repro.core.artifacts` owns the directories of them.
-
-Every ``.npz`` the system writes (these files, stage checkpoints, model
-bundles) goes through :func:`write_arrays`, which stores members
-uncompressed: the arrays are mostly float vectors that deflate shrinks
-by a fifth at many times the cost of the write. Loaders read stored and
-deflated archives alike, so artifacts written compressed still load.
+Stage checkpoints and model bundles persist the expensive stages'
+results (graphs, projections, LINE, SVM). Each ``encode_*`` here maps
+one object to the arrays of one ``.npz`` file plus, where it has
+scalars (kinds, configs, the SVM's bias and thresholds), a JSON-safe
+``meta`` dict; each ``decode_*`` takes them back and refuses ids that
+fall outside the table they index with
+:class:`~repro.errors.ArtifactIntegrityError`. No function here touches
+a file: that is :mod:`repro.core.artifacts`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.artifacts import Arrays
 from repro.core.detector import MaliciousDomainClassifier
-from repro.core.features import FeatureSpace
 from repro.embedding.line import LineConfig, LineEmbedding
-from repro.errors import DatasetError, NotFittedError
+from repro.errors import ArtifactIntegrityError, NotFittedError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.core import EdgeList, VertexTable
 from repro.graphs.projection import SimilarityGraph
 from repro.ml.preprocessing import StandardScaler
-from repro.ml.svm import DEFAULT_CACHE_MB, SupportVectorClassifier
+from repro.ml.svm import SupportVectorClassifier
 
-_FORMAT_VERSION = 1
-
-
-def write_arrays(path: str | Path, **arrays: np.ndarray) -> None:
-    """Write ``arrays`` as a stored (uncompressed) ``.npz`` at ``path``.
-
-    The one place the artifact encoding is decided. ``np.savez`` writes
-    ``ZIP_STORED`` members, and appends ``.npz`` to a path without it.
-    """
-    np.savez(path, **arrays)
+Meta = dict[str, Any]
 
 
-def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:
-    """Write one LINE embedding as ``<path>`` (.npz)."""
-    path = Path(path)
-    config = asdict(embedding.config)
-    write_arrays(
-        path,
-        vectors=embedding.vectors,
-        domains=np.array(embedding.domains, dtype=np.str_),
-        kind=np.array(embedding.kind),
-        config_json=np.array(json.dumps(config)),
-        format_version=np.array(_FORMAT_VERSION),
-    )
+def _strings(values: list[str]) -> np.ndarray:
+    return np.array(values, dtype=np.str_)
 
 
-def load_embedding(path: str | Path) -> LineEmbedding:
-    """Read an embedding written by :func:`save_embedding`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported embedding format version {version}"
-            )
-        config_fields = json.loads(str(archive["config_json"]))
-        # Archives written while the SGD inner loop was selectable carry
-        # a "kernel" key; there is one loop now, so it is dropped.
-        config_fields.pop("kernel", None)
-        config = LineConfig(**config_fields)
-        return LineEmbedding(
-            kind=str(archive["kind"]),
-            domains=[str(d) for d in archive["domains"]],
-            vectors=np.asarray(archive["vectors"], dtype=np.float64),
-            config=config,
+def _ids(arrays: Arrays, name: str, bound: int, table: str) -> np.ndarray:
+    """Member ``name`` as ``int64`` ids, each checked to index ``table``."""
+    ids = np.asarray(arrays[name], dtype=np.int64)
+    if ids.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= bound)):
+        raise ArtifactIntegrityError(
+            f"{name} ids fall outside the {bound} entries of {table}"
         )
+    return ids
 
 
-def save_feature_space(space: FeatureSpace, directory: str | Path) -> None:
-    """Write all three view embeddings under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_embedding(space.query, directory / "query.npz")
-    save_embedding(space.ip, directory / "ip.npz")
-    save_embedding(space.temporal, directory / "temporal.npz")
-
-
-def load_feature_space(directory: str | Path) -> FeatureSpace:
-    """Read a feature space written by :func:`save_feature_space`."""
-    directory = Path(directory)
-    return FeatureSpace(
-        query=load_embedding(directory / "query.npz"),
-        ip=load_embedding(directory / "ip.npz"),
-        temporal=load_embedding(directory / "temporal.npz"),
+def encode_embedding(embedding: LineEmbedding) -> tuple[Arrays, Meta]:
+    """One LINE embedding: vectors and domains; kind and config in meta."""
+    return (
+        {"vectors": embedding.vectors, "domains": _strings(embedding.domains)},
+        {"kind": embedding.kind, "config": asdict(embedding.config)},
     )
 
 
-def save_bipartite_graph(
-    graph: BipartiteGraph,
-    path: str | Path,
-    *,
-    left_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-) -> None:
-    """Write one bipartite graph as ``<path>`` (.npz).
+def decode_embedding(arrays: Arrays, meta: Mapping[str, Any]) -> LineEmbedding:
+    """Inverse of :func:`encode_embedding`; one vector per domain."""
+    domains = arrays["domains"].tolist()
+    vectors = np.asarray(arrays["vectors"], dtype=np.float64)
+    if vectors.ndim != 2 or len(vectors) != len(domains):
+        raise ArtifactIntegrityError(
+            f"embedding holds {vectors.shape} vectors for {len(domains)} domains"
+        )
+    return LineEmbedding(
+        kind=str(meta["kind"]),
+        domains=domains,
+        vectors=vectors,
+        config=LineConfig(**meta["config"]),
+    )
 
-    The columnar representation persists directly: both vertex-table
-    interners (values as unicode strings plus a type-code column, so
-    integer time-window vertices round-trip without pickle) and the
-    deduplicated ``(left_id, right_id)`` edge arrays as ``uint32`` (the
-    interner caps ids at 2^32 - 1). ``left_arrays`` passes
-    ``graph.left.to_arrays()`` already encoded, so graphs that share one
-    domain table encode it once.
+
+def encode_bipartite_graph(
+    graph: BipartiteGraph, *, with_left: bool = True
+) -> Arrays:
+    """One bipartite graph: its vertex tables and ``uint32`` edge ids.
+
+    Vertex tables persist as unicode strings plus a type-code column
+    (so integer time-window vertices round-trip without pickle); the
+    interner caps ids at 2^32 - 1. ``with_left=False`` leaves out the
+    domain table, for graphs that share one already stored.
     """
-    if left_arrays is None:
-        left_arrays = graph.left.to_arrays()
-    left_values, left_codes = left_arrays
     right_values, right_codes = graph.right.to_arrays()
     lefts, rights = graph.edges.columns()
-    write_arrays(
-        path,
-        kind=np.array(graph.kind),
-        left_values=left_values,
-        left_codes=left_codes,
-        right_values=right_values,
-        right_codes=right_codes,
-        lefts=lefts.astype(np.uint32),
-        rights=rights.astype(np.uint32),
-        format_version=np.array(_FORMAT_VERSION),
+    arrays = {
+        "right_values": right_values,
+        "right_codes": right_codes,
+        "lefts": lefts.astype(np.uint32),
+        "rights": rights.astype(np.uint32),
+    }
+    if with_left:
+        arrays["left_values"], arrays["left_codes"] = graph.left.to_arrays()
+    return arrays
+
+
+def decode_bipartite_graph(
+    arrays: Arrays, kind: str, left: VertexTable | None = None
+) -> BipartiteGraph:
+    """Inverse of :func:`encode_bipartite_graph`.
+
+    ``left`` is the shared domain table for an archive written without
+    one.
+    """
+    if left is None:
+        left = VertexTable.from_arrays(arrays["left_values"], arrays["left_codes"])
+    right = VertexTable.from_arrays(arrays["right_values"], arrays["right_codes"])
+    lefts = _ids(arrays, "lefts", len(left), "the domain table")
+    rights = _ids(arrays, "rights", len(right), f"the {kind} table")
+    if lefts.shape != rights.shape:
+        raise ArtifactIntegrityError(
+            f"{kind} graph has {lefts.size} lefts but {rights.size} rights"
+        )
+    # Encoded from ``edges.columns()``, so already duplicate-free.
+    edges = EdgeList._from_trusted(lefts, rights)
+    return BipartiteGraph(kind=kind, left=left, right=right, edges=edges)
+
+
+def encode_similarity_graph(graph: SimilarityGraph) -> tuple[Arrays, Meta]:
+    """One similarity graph, ids as ``uint32``; its kind in meta."""
+    return (
+        {
+            "domains": _strings(graph.domains),
+            "rows": graph.rows.astype(np.uint32),
+            "cols": graph.cols.astype(np.uint32),
+            "weights": graph.weights,
+        },
+        {"kind": graph.kind},
     )
 
 
-def load_bipartite_graph(path: str | Path) -> BipartiteGraph:
-    """Read a graph written by :func:`save_bipartite_graph`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported bipartite graph format version {version}"
-            )
-        left = VertexTable.from_arrays(
-            archive["left_values"], archive["left_codes"]
+def decode_similarity_graph(
+    arrays: Arrays, meta: Mapping[str, Any]
+) -> SimilarityGraph:
+    """Inverse of :func:`encode_similarity_graph`."""
+    domains = arrays["domains"].tolist()
+    rows = _ids(arrays, "rows", len(domains), "domains")
+    cols = _ids(arrays, "cols", len(domains), "domains")
+    weights = np.asarray(arrays["weights"], dtype=np.float64)
+    if not rows.shape == cols.shape == weights.shape:
+        raise ArtifactIntegrityError(
+            f"similarity graph columns disagree: {rows.size} rows, "
+            f"{cols.size} cols, {weights.size} weights"
         )
-        right = VertexTable.from_arrays(
-            archive["right_values"], archive["right_codes"]
-        )
-        # Saved from ``edges.columns()``, so already duplicate-free.
-        edges = EdgeList._from_trusted(archive["lefts"], archive["rights"])
-        return BipartiteGraph(
-            kind=str(archive["kind"]), left=left, right=right, edges=edges
-        )
+    return SimilarityGraph(
+        kind=str(meta["kind"]), domains=domains, rows=rows, cols=cols, weights=weights
+    )
 
 
-def save_classifier(
-    classifier: MaliciousDomainClassifier, path: str | Path
-) -> None:
-    """Write a fitted classifier as ``<path>`` (.npz, pickle-free).
+def encode_classifier(classifier: MaliciousDomainClassifier) -> tuple[Arrays, Meta]:
+    """A fitted classifier's complete decision rule.
 
-    The archive holds the complete SVM decision rule — support vectors,
-    signed dual coefficients (alpha_i * y_i), bias, kernel parameters —
-    plus the calibrated threshold, so a loaded classifier reproduces
+    Support vectors, signed dual coefficients (alpha_i * y_i) and classes
+    are arrays; bias, kernel parameters and the configured and
+    calibrated thresholds are meta. A decoded classifier reproduces
     ``decision_function`` byte-exactly without retraining.
     """
     svm = classifier._svm
@@ -172,7 +160,7 @@ def save_classifier(
         or svm._classes is None
     ):
         raise NotFittedError("MaliciousDomainClassifier")
-    params = {
+    meta = {
         "c": svm.c,
         "kernel": svm.kernel,
         "gamma": svm.gamma,
@@ -181,119 +169,69 @@ def save_classifier(
         "tolerance": svm.tolerance,
         "max_iterations": svm.max_iterations,
         "kernel_cache_mb": svm.kernel_cache_mb,
+        "bias": float(svm._bias),
         # The configured threshold (None = calibrate on fit) and the
         # value that calibration actually produced.
         "threshold": classifier.threshold,
         "threshold_": classifier.threshold_,
     }
-    write_arrays(
-        path,
-        support_vectors=svm._support_vectors,
-        dual_coefficients=svm._support_coefficients,
-        bias=np.array(svm._bias, dtype=np.float64),
-        classes=np.asarray(svm._classes),
-        params_json=np.array(json.dumps(params)),
-        format_version=np.array(_FORMAT_VERSION),
-    )
+    arrays = {
+        "support_vectors": svm._support_vectors,
+        "dual_coefficients": svm._support_coefficients,
+        "classes": np.asarray(svm._classes),
+    }
+    return arrays, meta
 
 
-def load_classifier(path: str | Path) -> MaliciousDomainClassifier:
-    """Read a classifier written by :func:`save_classifier`.
+def decode_classifier(
+    arrays: Arrays, meta: Mapping[str, Any]
+) -> MaliciousDomainClassifier:
+    """Inverse of :func:`encode_classifier`.
 
-    The returned classifier's ``decision_function`` is byte-identical to
-    the saved one's: the kernel expansion is recomputed from bit-equal
-    float64 support vectors, coefficients, and bias.
+    The kernel expansion is recomputed from bit-equal float64 support
+    vectors, coefficients and bias, so ``decision_function`` is
+    byte-identical to the encoded classifier's.
     """
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported classifier format version {version}"
-            )
-        params = json.loads(str(archive["params_json"]))
-        threshold = params["threshold"]
-        # Archives written before the row-cached solver carry no
-        # kernel_cache_mb, and archives written while the solver was
-        # selectable carry a "solver" key; neither changes the stored
-        # decision rule, so the first defaults and the second is ignored.
-        kernel_cache_mb = float(params.get("kernel_cache_mb", DEFAULT_CACHE_MB))
-        classifier = MaliciousDomainClassifier(
-            c=float(params["c"]),
-            gamma=float(params["gamma"]),
-            threshold=None if threshold is None else float(threshold),
-            kernel_cache_mb=kernel_cache_mb,
-        )
-        svm = SupportVectorClassifier(
-            c=float(params["c"]),
-            kernel=str(params["kernel"]),
-            gamma=float(params["gamma"]),
-            degree=int(params["degree"]),
-            coef0=float(params["coef0"]),
-            tolerance=float(params["tolerance"]),
-            max_iterations=int(params["max_iterations"]),
-            kernel_cache_mb=kernel_cache_mb,
-        )
-        svm._support_vectors = np.asarray(
-            archive["support_vectors"], dtype=np.float64
-        )
-        svm._support_coefficients = np.asarray(
-            archive["dual_coefficients"], dtype=np.float64
-        )
-        svm._bias = float(archive["bias"])
-        svm._classes = np.asarray(archive["classes"])
-        classifier._svm = svm
-        classifier._fitted = True
-        classifier.threshold_ = float(params["threshold_"])
-        return classifier
+    threshold = meta["threshold"]
+    kernel_cache_mb = float(meta["kernel_cache_mb"])
+    classifier = MaliciousDomainClassifier(
+        c=float(meta["c"]),
+        gamma=float(meta["gamma"]),
+        threshold=None if threshold is None else float(threshold),
+        kernel_cache_mb=kernel_cache_mb,
+    )
+    svm = SupportVectorClassifier(
+        c=float(meta["c"]),
+        kernel=str(meta["kernel"]),
+        gamma=float(meta["gamma"]),
+        degree=int(meta["degree"]),
+        coef0=float(meta["coef0"]),
+        tolerance=float(meta["tolerance"]),
+        max_iterations=int(meta["max_iterations"]),
+        kernel_cache_mb=kernel_cache_mb,
+    )
+    svm._support_vectors = np.asarray(arrays["support_vectors"], dtype=np.float64)
+    svm._support_coefficients = np.asarray(
+        arrays["dual_coefficients"], dtype=np.float64
+    )
+    svm._bias = float(meta["bias"])
+    svm._classes = np.asarray(arrays["classes"])
+    classifier._svm = svm
+    classifier._fitted = True
+    classifier.threshold_ = float(meta["threshold_"])
+    return classifier
 
 
-def save_scaler(scaler: StandardScaler, path: str | Path) -> None:
-    """Write a fitted :class:`StandardScaler` as ``<path>`` (.npz)."""
+def encode_scaler(scaler: StandardScaler) -> Arrays:
+    """A fitted :class:`StandardScaler`: its mean and scale."""
     if scaler.mean_ is None or scaler.scale_ is None:
         raise NotFittedError("StandardScaler")
-    write_arrays(
-        path,
-        mean=scaler.mean_,
-        scale=scaler.scale_,
-        format_version=np.array(_FORMAT_VERSION),
-    )
+    return {"mean": scaler.mean_, "scale": scaler.scale_}
 
 
-def load_scaler(path: str | Path) -> StandardScaler:
-    """Read a scaler written by :func:`save_scaler`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(f"unsupported scaler format version {version}")
-        scaler = StandardScaler()
-        scaler.mean_ = np.asarray(archive["mean"], dtype=np.float64)
-        scaler.scale_ = np.asarray(archive["scale"], dtype=np.float64)
-        return scaler
-
-
-def save_similarity_graph(graph: SimilarityGraph, path: str | Path) -> None:
-    """Write one similarity graph as ``<path>`` (.npz), ids as ``uint32``."""
-    write_arrays(
-        path,
-        kind=np.array(graph.kind),
-        domains=np.array(graph.domains, dtype=np.str_),
-        rows=graph.rows.astype(np.uint32),
-        cols=graph.cols.astype(np.uint32),
-        weights=graph.weights,
-        format_version=np.array(_FORMAT_VERSION),
-    )
-
-
-def load_similarity_graph(path: str | Path) -> SimilarityGraph:
-    """Read a graph written by :func:`save_similarity_graph`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(f"unsupported graph format version {version}")
-        return SimilarityGraph(
-            kind=str(archive["kind"]),
-            domains=[str(d) for d in archive["domains"]],
-            rows=np.asarray(archive["rows"], dtype=np.int64),
-            cols=np.asarray(archive["cols"], dtype=np.int64),
-            weights=np.asarray(archive["weights"], dtype=np.float64),
-        )
+def decode_scaler(arrays: Arrays) -> StandardScaler:
+    """Inverse of :func:`encode_scaler`."""
+    scaler = StandardScaler()
+    scaler.mean_ = np.asarray(arrays["mean"], dtype=np.float64)
+    scaler.scale_ = np.asarray(arrays["scale"], dtype=np.float64)
+    return scaler

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Generic,
     Iterable,
     Iterator,
@@ -52,7 +51,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.artifacts import ArtifactManifest
+from repro.core.artifacts import ArtifactManifest, Payload
 from repro.errors import StageGraphError
 from repro.obs.logging import get_logger
 from repro.obs.progress import ProgressCallback
@@ -166,12 +165,12 @@ class CheckpointBackend(Protocol):
 
     def has(self, stage: str) -> bool: ...
 
-    def verify(self, stage: str) -> tuple[Path, ArtifactManifest]: ...
+    def load(self, stage: str) -> tuple[ArtifactManifest, Payload]: ...
 
     def save(
         self,
         stage: str,
-        populate: Callable[[Path], None],
+        files: Payload,
         meta: Mapping[str, object] | None = None,
         *,
         complete: bool = True,
@@ -240,13 +239,13 @@ class Stage(Generic[I, O], abc.ABC):
         """Compute the stage's outputs from its inputs in ``store``."""
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
-        """Write this stage's outputs into ``staging``; returns manifest meta.
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
+        """This stage's outputs as ``(files, meta)`` for its checkpoint.
 
-        Called by :meth:`StageGraph.execute` inside the checkpointer's
-        atomic staging directory. The returned mapping becomes the
-        checkpoint manifest's ``meta`` payload.
+        ``files`` maps each file name to its arrays and ``meta`` holds
+        every scalar; the checkpointer writes them, with ``meta`` as the
+        manifest's ``meta``.
         """
         raise NotImplementedError(
             f"stage {self.name!r} does not persist artifacts"
@@ -254,11 +253,12 @@ class Stage(Generic[I, O], abc.ABC):
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
-        """Restore this stage's outputs into ``store`` from ``directory``."""
+        """Restore this stage's outputs into ``store`` from the checked,
+        decoded ``files`` of its checkpoint."""
         raise NotImplementedError(
             f"stage {self.name!r} does not restore artifacts"
         )
@@ -398,8 +398,8 @@ class StageGraph:
                 and stage.checkpointed
                 and restore_from.has(stage.name)
             ):
-                directory, manifest = restore_from.verify(stage.name)
-                stage.load_artifacts(directory, manifest, store)
+                manifest, files = restore_from.load(stage.name)
+                stage.load_artifacts(files, manifest, store)
                 report.restored.append(stage.name)
                 report.resumed_from = stage.name
                 _log.info(
@@ -418,11 +418,6 @@ class StageGraph:
                 stage.run(store, ctx)
             report.executed.append(stage.name)
             if ckpt is not None and stage.checkpointed:
-                meta: dict[str, object] = {}
-
-                def populate(staging: Path) -> None:
-                    meta.update(stage.save_artifacts(staging, store))
-
-                ckpt.save(stage.name, populate, meta)
+                ckpt.save(stage.name, *stage.save_artifacts(store))
                 ckpt.invalidate_after(stage.name)
         return report

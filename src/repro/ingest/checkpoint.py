@@ -3,18 +3,20 @@
 A :class:`PipelineCheckpointer` manages one checkpoint directory with a
 subdirectory per completed stage::
 
-    <dir>/00-ingest/    manifest.json + graph .npz artifacts (+ cursor)
-    <dir>/01-prune/     manifest.json + pruned graphs + report
-    <dir>/02-project/   manifest.json + similarity graphs
-    <dir>/03-embed/     manifest.json + per-view embeddings
-    <dir>/04-classify/  manifest.json + classifier + verdicts
-    <dir>/05-cluster/   manifest.json + cluster assignments
+    <dir>/00-ingest/    host_domain.npz domain_ip.npz domain_time.npz
+    <dir>/01-prune/     the same three graphs + domains.npz
+    <dir>/02-project/   query.npz ip.npz temporal.npz (similarity graphs)
+    <dir>/03-embed/     query.npz ip.npz temporal.npz (embeddings)
+    <dir>/04-classify/  classifier.npz scores.npz
+    <dir>/05-cluster/   clusters.npz
 
-Each stage directory is an artifact directory of kind
-``checkpoint:<stage>``, written and verified by
-:mod:`repro.core.artifacts` like a model bundle. This module adds only
-the stage naming and the commit step that replaces a stage's previous
-checkpoint.
+each with a ``manifest.json`` whose ``meta`` holds the stage's scalars
+(a graph triple's shared domain table is stored once, in
+``host_domain.npz``). Each is an artifact directory of kind
+``checkpoint:<stage>``, written and read by :mod:`repro.core.artifacts`
+like a model bundle; this module adds only the stage naming, the commit
+step that replaces a stage's previous checkpoint, and the sweep of
+staging directories a killed writer left under the root.
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core import artifacts
-from repro.core.artifacts import MANIFEST_FILENAME, ArtifactManifest
+from repro.core.artifacts import (
+    MANIFEST_FILENAME,
+    STAGING_PREFIX,
+    ArtifactManifest,
+    Payload,
+)
 
 # Canonical stage names live with the stage objects themselves
 # (repro.core.dataflow); checkpoint directories are indexed by the same
@@ -100,17 +107,19 @@ class PipelineCheckpointer:
     def save(
         self,
         stage: str,
-        populate: Callable[[Path], None],
+        files: Payload,
         meta: Mapping[str, object] | None = None,
         *,
         complete: bool = True,
     ) -> Path:
         """Write one stage checkpoint atomically; returns its directory.
 
-        ``populate`` writes the stage's ``.npz`` artifacts into a staging
-        directory (:func:`repro.core.artifacts.write_artifact`), which
-        then replaces any previous checkpoint for the stage — so a crash
-        at any point leaves either the old complete checkpoint or none.
+        ``files`` (file name -> arrays) and ``meta`` are written into a
+        staging directory (:func:`repro.core.artifacts.write_artifact`),
+        which then replaces any previous checkpoint for the stage — so a
+        crash at any point leaves either the old complete checkpoint or
+        none. One run owns the root, so every staging directory already
+        there is a killed writer's leftover and is removed first.
         """
         if stage not in CHECKPOINT_STAGES:
             raise IngestError(f"unknown checkpoint stage {stage!r}")
@@ -120,19 +129,17 @@ class PipelineCheckpointer:
             fingerprint=self.fingerprint,
             created_at=time.time(),
             complete=complete,
+            meta=dict(meta or {}),
         )
-
-        def fill(staging: Path) -> None:
-            populate(staging)
-            # Read ``meta`` only now: the engine's populate fills it.
-            manifest.meta = dict(meta or {})
 
         def replace(staging: Path) -> None:
             if final.exists():
                 shutil.rmtree(final)
             os.replace(staging, final)
 
-        artifacts.write_artifact(self.root, manifest, fill, replace)
+        for leftover in self.root.glob(STAGING_PREFIX + "*"):
+            shutil.rmtree(leftover, ignore_errors=True)
+        artifacts.write_artifact(self.root, manifest, files, replace)
         total = self.total_bytes()
         default_registry().gauge("checkpoint.bytes").set(total)
         _log.info(
@@ -146,23 +153,23 @@ class PipelineCheckpointer:
 
     # -- loading ---------------------------------------------------------
 
-    def verify(self, stage: str) -> tuple[Path, ArtifactManifest]:
-        """Integrity-check one stage checkpoint; returns (dir, manifest).
+    def load(self, stage: str) -> tuple[ArtifactManifest, Payload]:
+        """Check and decode one stage checkpoint: (manifest, files).
 
         Raises :class:`~repro.errors.ArtifactIntegrityError` (see
-        :func:`repro.core.artifacts.verify`) instead of resuming from a
-        torn or tampered checkpoint.
+        :func:`repro.core.artifacts.read_artifact`) instead of resuming
+        from a torn or tampered checkpoint.
         """
-        directory = self.stage_dir(stage)
-        kind = f"checkpoint:{stage}"
-        return directory, artifacts.verify(directory, kind, self.fingerprint)
+        return artifacts.read_artifact(
+            self.stage_dir(stage), f"checkpoint:{stage}", self.fingerprint
+        )
 
     def peek(self, stage: str) -> ArtifactManifest | None:
         """Read one stage's manifest without hashing its artifacts.
 
         For inspection only (``repro-dns describe``): no checksum or
         fingerprint verification happens, so never resume from a peeked
-        checkpoint — use :meth:`verify` for that. Returns ``None`` when
+        checkpoint — use :meth:`load` for that. Returns ``None`` when
         the stage has no checkpoint.
         """
         if not self.has(stage):
@@ -170,7 +177,7 @@ class PipelineCheckpointer:
         return artifacts.read_manifest(self.stage_dir(stage))
 
     def latest(self) -> tuple[str, ArtifactManifest] | None:
-        """The most advanced existing checkpoint, verified.
+        """The most advanced existing checkpoint, checked.
 
         Returns ``(stage, manifest)`` for the latest stage that has a
         checkpoint, or ``None`` when the directory holds none. The
@@ -180,7 +187,7 @@ class PipelineCheckpointer:
         found: tuple[str, ArtifactManifest] | None = None
         for stage in CHECKPOINT_STAGES:
             if self.has(stage):
-                __, manifest = self.verify(stage)
+                manifest, __ = self.load(stage)
                 found = (stage, manifest)
         return found
 

@@ -39,7 +39,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from repro.core.artifacts import ArtifactManifest
+from repro.core.artifacts import ArtifactManifest, Payload
 from repro.core.clustering import DomainCluster
 from repro.core.dataflow import (
     CLUSTERS,
@@ -54,11 +54,11 @@ from repro.core.dataflow import (
     VERDICTS,
     EmbedStage,
     GraphTriple,
+    decode_graph_triple,
     detection_stages,
     empty_graph_triple,
-    load_shared_graphs,
+    encode_graph_triple,
     pipeline_fingerprint,
-    write_graph_files,
 )
 from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.core.stages import (
@@ -200,7 +200,7 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
                 if ckpt is not None and every and chunks_since_save >= every:
                     ckpt.save(
                         self.name,
-                        lambda staging: write_graph_files(staging, graphs),
+                        encode_graph_triple(graphs),
                         {"cursor": reader.cursor},
                         complete=False,
                     )
@@ -213,18 +213,18 @@ class ChunkedIngestStage(Stage[None, GraphTriple]):
         store.put(INGEST_CURSOR, cursor)
 
     def save_artifacts(
-        self, staging: Path, store: ArtifactStore
-    ) -> dict[str, object]:
-        write_graph_files(staging, store.get(RAW_GRAPHS))
-        return {"cursor": store.get(INGEST_CURSOR)}
+        self, store: ArtifactStore
+    ) -> tuple[Payload, dict[str, object]]:
+        files = encode_graph_triple(store.get(RAW_GRAPHS))
+        return files, {"cursor": store.get(INGEST_CURSOR)}
 
     def load_artifacts(
         self,
-        directory: Path,
+        files: Payload,
         manifest: ArtifactManifest,
         store: ArtifactStore,
     ) -> None:
-        graphs = load_shared_graphs(directory)
+        graphs = decode_graph_triple(files)
         cursor = int(manifest.meta["cursor"])
         store.put(RAW_GRAPHS, graphs)
         store.put(RECORDS_INGESTED, cursor)

@@ -6,12 +6,14 @@ optional feature scaler, the concatenated per-domain feature matrix with
 its domain vocabulary, and an
 :class:`~repro.core.artifacts.ArtifactManifest` of kind
 ``"model-bundle"`` describing where the model came from (creation time,
-pipeline-config fingerprint, training metrics in ``meta``).
+pipeline-config fingerprint, training metrics in ``meta["metrics"]``).
 
 On disk a bundle is an artifact directory of pickle-free ``.npz``
-files, written atomically and verified before loading by
+files, written atomically and checked as it is read by
 :mod:`repro.core.artifacts` like a stage checkpoint; this module decides
-only which arrays go in which file.
+only which arrays go in which file. The classifier's scalars (bias,
+kernel parameters, thresholds) are ``meta["classifier"]``, apart from
+the metrics so that no metric name can collide with them.
 """
 
 from __future__ import annotations
@@ -19,24 +21,23 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.core import artifacts
-from repro.core.artifacts import ArtifactManifest
+from repro.core.artifacts import Arrays, ArtifactManifest, Payload
 from repro.core.dataflow import CLASSIFIER, DOMAIN_ORDER, FEATURE_SPACE
 from repro.core.detector import MaliciousDomainClassifier
 from repro.core.persistence import (
-    load_classifier,
-    load_scaler,
-    save_classifier,
-    save_scaler,
-    write_arrays,
+    decode_classifier,
+    decode_scaler,
+    encode_classifier,
+    encode_scaler,
 )
-from repro.errors import DatasetError, NotFittedError
+from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
 from repro.ml.preprocessing import StandardScaler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -84,7 +85,7 @@ class ModelBundle:
         created_at: float | None = None,
     ) -> "ModelBundle":
         """Assemble a bundle and fill in its manifest (``metrics`` become
-        its ``meta``)."""
+        its ``meta["metrics"]``)."""
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise DatasetError("bundle features must be a 2-D matrix")
@@ -97,7 +98,7 @@ class ModelBundle:
             kind=BUNDLE_KIND,
             fingerprint=fingerprint,
             created_at=time.time() if created_at is None else created_at,
-            meta=dict(metrics or {}),
+            meta={"metrics": dict(metrics or {})},
         )
         return cls(
             classifier=classifier,
@@ -184,16 +185,21 @@ class ModelBundle:
             matrix = self.scaler.transform(matrix)
         return self.classifier.decision_function(matrix)
 
-    def write_files(self, directory: Path) -> None:
-        """Write the bundle's ``.npz`` files into (staging) ``directory``."""
-        save_classifier(self.classifier, directory / _CLASSIFIER_FILE)
-        write_arrays(
-            directory / _FEATURES_FILE,
-            features=self.features,
-            domains=np.array(self.domains, dtype=np.str_),
-        )
+    def payload(self) -> tuple[ArtifactManifest, Payload]:
+        """The manifest (``meta`` plus the classifier's scalars) and the
+        files that :meth:`save` writes."""
+        classifier, classifier_meta = encode_classifier(self.classifier)
+        files: dict[str, Arrays] = {
+            _CLASSIFIER_FILE: classifier,
+            _FEATURES_FILE: {
+                "features": self.features,
+                "domains": np.array(self.domains, dtype=np.str_),
+            },
+        }
         if self.scaler is not None:
-            save_scaler(self.scaler, directory / _SCALER_FILE)
+            files[_SCALER_FILE] = encode_scaler(self.scaler)
+        meta = {**self.manifest.meta, "classifier": classifier_meta}
+        return replace(self.manifest, meta=meta), files
 
     def save(self, directory: str | Path) -> Path:
         """Write the bundle atomically as ``directory``; returns it.
@@ -208,28 +214,32 @@ class ModelBundle:
             os.rename(staging, directory)
             return directory
 
-        return artifacts.write_artifact(
-            directory.parent, self.manifest, self.write_files, place
-        )
+        return artifacts.write_artifact(directory.parent, *self.payload(), place)
 
     @staticmethod
     def load(directory: str | Path) -> "ModelBundle":
-        """Verify and read a bundle written by :meth:`save`; raises
+        """Check and read a bundle written by :meth:`save`; raises
         :class:`~repro.errors.ArtifactIntegrityError` on a torn or
         corrupt one."""
-        directory = Path(directory)
-        manifest = artifacts.verify(directory, BUNDLE_KIND)
-        classifier = load_classifier(directory / _CLASSIFIER_FILE)
-        with np.load(directory / _FEATURES_FILE) as archive:
-            features = np.asarray(archive["features"], dtype=np.float64)
-            domains = [str(d) for d in archive["domains"]]
-        scaler: StandardScaler | None = None
-        if _SCALER_FILE in manifest.files:
-            scaler = load_scaler(directory / _SCALER_FILE)
+        manifest, files = artifacts.read_artifact(Path(directory), BUNDLE_KIND)
+        vocabulary = files[_FEATURES_FILE]
+        features = np.asarray(vocabulary["features"], dtype=np.float64)
+        domains = vocabulary["domains"].tolist()
+        if features.ndim != 2 or len(features) != len(domains):
+            raise ArtifactIntegrityError(
+                f"bundle at {directory} holds {features.shape} features "
+                f"for {len(domains)} domains"
+            )
         return ModelBundle(
-            classifier=classifier,
+            classifier=decode_classifier(
+                files[_CLASSIFIER_FILE], manifest.meta["classifier"]
+            ),
             features=features,
             domains=domains,
-            scaler=scaler,
+            scaler=(
+                decode_scaler(files[_SCALER_FILE])
+                if _SCALER_FILE in files
+                else None
+            ),
             manifest=manifest,
         )

@@ -13,7 +13,11 @@ into the next free slot: readers either see a complete, checksummed
 bundle or no slot at all, and no slot is ever overwritten. The
 ``CURRENT`` pointer is likewise replaced atomically (write-temp +
 ``os.replace``), so a crash mid-publish leaves the previous version
-live. Swapping a loaded version into service is
+live. A publisher killed mid-write leaves its hidden ``.staging-*``
+directory behind; :meth:`ModelRegistry.versions` never lists one, and
+it is safe to delete once no publish is running (other processes may
+be publishing into the same root, so the registry does not sweep them).
+Swapping a loaded version into service is
 :meth:`repro.serve.service.ScoringService.reload`'s job.
 """
 
@@ -94,7 +98,7 @@ class ModelRegistry:
         """Atomically add ``bundle`` as the next version; returns it."""
         with self._publish_lock:
             version = write_artifact(
-                self.root, bundle.manifest, bundle.write_files, self._claim_slot
+                self.root, *bundle.payload(), self._claim_slot
             )
             self._write_current(version)
         _log.info(

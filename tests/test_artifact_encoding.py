@@ -1,9 +1,10 @@
 """The on-disk encoding of every ``.npz`` artifact.
 
-Checkpoints, model bundles and the ``persistence.save_*`` files are
-written as stored (uncompressed) archives with ``uint32`` vertex-id
-columns. Archives written the old way — deflated, with ``int64`` ids —
-must still verify and load to byte-identical outputs.
+Checkpoints, model bundles and the files of every codec in
+``repro.core.persistence`` are written as stored (uncompressed) archives
+with ``uint32`` vertex-id columns and no 0-d members. Archives written
+the old way — deflated, with ``int64`` ids — must still verify and load
+to byte-identical outputs.
 """
 
 import zipfile
@@ -19,21 +20,20 @@ from repro.core.dataflow import (
     DOMAIN_ORDER,
     ClusterStage,
 )
+from repro.core.artifacts import ArtifactManifest, read_artifact, write_artifact
 from repro.core.detector import MaliciousDomainClassifier
-from repro.core.features import FeatureSpace, FeatureView
+from repro.core.features import FeatureView
 from repro.core.persistence import (
-    load_bipartite_graph,
-    load_classifier,
-    load_embedding,
-    load_feature_space,
-    load_scaler,
-    load_similarity_graph,
-    save_bipartite_graph,
-    save_classifier,
-    save_embedding,
-    save_feature_space,
-    save_scaler,
-    save_similarity_graph,
+    decode_bipartite_graph,
+    decode_classifier,
+    decode_embedding,
+    decode_scaler,
+    decode_similarity_graph,
+    encode_bipartite_graph,
+    encode_classifier,
+    encode_embedding,
+    encode_scaler,
+    encode_similarity_graph,
 )
 from repro.core.pipeline import PipelineConfig
 from repro.core.stages import ArtifactStore
@@ -59,13 +59,6 @@ from repro.serve import ModelRegistry
 from repro.simulation import SimulationConfig, TraceGenerator
 from repro.simulation.groundtruth import GroundTruth
 
-#: Modules that bind the artifact writer by name.
-_WRITER_MODULES = (
-    "repro.core.persistence",
-    "repro.core.dataflow",
-    "repro.serve.bundle",
-)
-
 _ID_COLUMNS = ("lefts", "rights", "rows", "cols")
 
 
@@ -82,9 +75,8 @@ def _legacy_write(path, **arrays):
 
 @pytest.fixture()
 def legacy_writer(monkeypatch):
-    """Route every artifact writer through :func:`_legacy_write`."""
-    for module in _WRITER_MODULES:
-        monkeypatch.setattr(f"{module}.write_arrays", _legacy_write)
+    """Route the one artifact writer through :func:`_legacy_write`."""
+    monkeypatch.setattr("repro.core.artifacts.write_arrays", _legacy_write)
     return monkeypatch
 
 
@@ -105,6 +97,15 @@ def _assert_stored(directory: Path) -> list[Path]:
     return archives
 
 
+def _assert_no_scalar_members(directory: Path) -> None:
+    archives = sorted(directory.rglob("*.npz"))
+    assert archives
+    for path in archives:
+        with np.load(path) as arrays:
+            for name in arrays.files:
+                assert arrays[name].ndim > 0, (path, name)
+
+
 def _assert_deflated(directory: Path) -> None:
     archives = sorted(directory.rglob("*.npz"))
     assert archives
@@ -116,7 +117,7 @@ def _assert_deflated(directory: Path) -> None:
             ), path
 
 
-# -- persistence.save_* -----------------------------------------------------
+# -- persistence codecs -----------------------------------------------------
 
 
 @pytest.fixture()
@@ -144,7 +145,6 @@ def artifacts():
     scaler = StandardScaler().fit(features)
     return SimpleNamespace(
         embedding=embedding,
-        space=FeatureSpace(query=embedding, ip=embedding, temporal=embedding),
         bipartite=bipartite,
         similarity=similarity,
         classifier=classifier,
@@ -154,25 +154,55 @@ def artifacts():
 
 
 def _save_all(items, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    save_embedding(items.embedding, directory / "embedding.npz")
-    save_feature_space(items.space, directory / "space")
-    save_bipartite_graph(items.bipartite, directory / "bipartite.npz")
-    save_similarity_graph(items.similarity, directory / "similarity.npz")
-    save_classifier(items.classifier, directory / "classifier.npz")
-    save_scaler(items.scaler, directory / "scaler.npz")
+    """Every codec's file, written as one artifact under ``directory``."""
+    embedding, embedding_meta = encode_embedding(items.embedding)
+    similarity, similarity_meta = encode_similarity_graph(items.similarity)
+    classifier, classifier_meta = encode_classifier(items.classifier)
+    files = {
+        "embedding.npz": embedding,
+        "bipartite.npz": encode_bipartite_graph(items.bipartite),
+        "similarity.npz": similarity,
+        "classifier.npz": classifier,
+        "scaler.npz": encode_scaler(items.scaler),
+    }
+    meta = {
+        "embedding": embedding_meta,
+        "similarity": similarity_meta,
+        "classifier": classifier_meta,
+    }
+    write_artifact(
+        directory.parent,
+        ArtifactManifest(kind="codecs", meta=meta),
+        files,
+        lambda staging: staging.rename(directory),
+    )
+
+
+def _decode_all(directory: Path):
+    manifest, files = read_artifact(directory, "codecs")
+    meta = manifest.meta
+    return SimpleNamespace(
+        embedding=decode_embedding(files["embedding.npz"], meta["embedding"]),
+        bipartite=decode_bipartite_graph(files["bipartite.npz"], "time"),
+        similarity=decode_similarity_graph(
+            files["similarity.npz"], meta["similarity"]
+        ),
+        classifier=decode_classifier(
+            files["classifier.npz"], meta["classifier"]
+        ),
+        scaler=decode_scaler(files["scaler.npz"]),
+    )
 
 
 def _load_all(directory: Path, features: np.ndarray) -> dict:
-    embedding = load_embedding(directory / "embedding.npz")
-    space = load_feature_space(directory / "space")
-    bipartite = load_bipartite_graph(directory / "bipartite.npz")
-    similarity = load_similarity_graph(directory / "similarity.npz")
-    classifier = load_classifier(directory / "classifier.npz")
-    scaler = load_scaler(directory / "scaler.npz")
+    loaded = _decode_all(directory)
+    embedding, bipartite, similarity = (
+        loaded.embedding,
+        loaded.bipartite,
+        loaded.similarity,
+    )
     return {
         "embedding": (embedding.domains, embedding.vectors.tobytes()),
-        "space": space.matrix(["a.com", "c.org"]).tobytes(),
         "bipartite": (
             bipartite.left.values,
             bipartite.right.values,
@@ -184,16 +214,17 @@ def _load_all(directory: Path, features: np.ndarray) -> dict:
             similarity.cols.tobytes(),
             similarity.weights.tobytes(),
         ),
-        "decision": classifier.decision_function(features).tobytes(),
-        "scaled": scaler.transform(features).tobytes(),
+        "decision": loaded.classifier.decision_function(features).tobytes(),
+        "scaled": loaded.scaler.transform(features).tobytes(),
     }
 
 
 class TestPersistenceFiles:
     def test_written_stored_with_uint32_ids(self, artifacts, tmp_path):
-        _save_all(artifacts, tmp_path)
+        _save_all(artifacts, tmp_path / "codecs")
         names = {p.name for p in _assert_stored(tmp_path)}
         assert {"bipartite.npz", "similarity.npz"} <= names
+        _assert_no_scalar_members(tmp_path)
 
     def test_deflated_archives_load_identically(
         self, artifacts, tmp_path, legacy_writer
@@ -207,9 +238,9 @@ class TestPersistenceFiles:
         )
 
     def test_loaded_ids_widen_to_int64(self, artifacts, tmp_path):
-        _save_all(artifacts, tmp_path)
-        similarity = load_similarity_graph(tmp_path / "similarity.npz")
-        bipartite = load_bipartite_graph(tmp_path / "bipartite.npz")
+        _save_all(artifacts, tmp_path / "codecs")
+        loaded = _decode_all(tmp_path / "codecs")
+        similarity, bipartite = loaded.similarity, loaded.bipartite
         assert similarity.rows.dtype == similarity.cols.dtype == np.int64
         assert all(c.dtype == np.int64 for c in bipartite.edges.columns())
         assert bipartite.adjacency == artifacts.bipartite.adjacency
@@ -223,6 +254,7 @@ class TestBundles:
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(scaled=True))
         _assert_stored(registry.root)
+        _assert_no_scalar_members(registry.root)
 
     def test_deflated_bundle_verifies_and_scores_identically(
         self, make_bundle, tmp_path, legacy_writer
@@ -289,6 +321,14 @@ def _outputs(outcome):
     )
 
 
+def test_checkpointed_run_writes_no_scalar_members(
+    trace_dir, dataset_for, tmp_path
+):
+    checkpointer, __ = _run(trace_dir, dataset_for, tmp_path)
+    assert all(checkpointer.has(stage) for stage in CHECKPOINT_STAGES)
+    _assert_no_scalar_members(tmp_path)
+
+
 @pytest.mark.slow
 class TestCheckpoints:
     def test_deflated_checkpoints_verify_and_resume_identically(
@@ -306,7 +346,7 @@ class TestCheckpoints:
         stages = [s for s in CHECKPOINT_STAGES if old_checkpointer.has(s)]
         assert stages == [s for s in CHECKPOINT_STAGES if new_checkpointer.has(s)]
         for stage in stages:
-            old_checkpointer.verify(stage)
+            old_checkpointer.load(stage)
         __, resumed = _run(
             trace_dir, dataset_for, tmp_path / "old", resume=True
         )
@@ -328,11 +368,11 @@ def test_cluster_checkpoint_regroups_members_in_order(tmp_path):
     store.put(DOMAIN_ORDER, order)
     store.put(CLUSTERS, clusters)
     stage = ClusterStage([FeatureView.QUERY])
-    stage.save_artifacts(tmp_path, store)
+    files, meta = stage.save_artifacts(store)
 
     restored = ArtifactStore()
     restored.put(DOMAIN_ORDER, order)
-    stage.load_artifacts(tmp_path, SimpleNamespace(complete=True, meta={}), restored)
+    stage.load_artifacts(files, SimpleNamespace(complete=True, meta=meta), restored)
     loaded = restored.get(CLUSTERS)
     # Cluster order is kept; members come back in domain order, and
     # domains 2, 5 and 6 (in no cluster) are left out.

@@ -226,7 +226,7 @@ class TestKillAndResume:
             fold_columns_into_graphs,
         )
         from repro.graphs.core import VertexTable
-        from repro.core.persistence import save_bipartite_graph
+        from repro.core.dataflow import encode_graph_triple
         from repro.ingest import ChunkedTraceReader
         from repro.ingest.checkpoint import STAGE_INGEST
 
@@ -259,13 +259,11 @@ class TestKillAndResume:
                     break
             cursor = reader.cursor
 
-        def populate(staging):
-            names = ("host_domain.npz", "domain_ip.npz", "domain_time.npz")
-            for graph, name in zip(graphs, names):
-                save_bipartite_graph(graph, staging / name)
-
         checkpointer.save(
-            STAGE_INGEST, populate, {"cursor": cursor}, complete=False
+            STAGE_INGEST,
+            encode_graph_triple(graphs),
+            {"cursor": cursor},
+            complete=False,
         )
 
         resumed = _chunked(trace_dir, checkpointer).run(

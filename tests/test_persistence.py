@@ -1,42 +1,48 @@
-"""Unit tests for artifact persistence (npz round-trips)."""
+"""Round trips through the artifact codecs (``repro.core.persistence``).
 
-import json
+Each object is encoded, written as an artifact file with its ``meta`` in
+the manifest, read back through ``repro.core.artifacts.read_artifact``
+and decoded, so every case also crosses the on-disk format.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.artifacts import ArtifactManifest, read_artifact, write_artifact
+from repro.core.dataflow import FEATURE_SPACE, EmbedStage
 from repro.core.detector import MaliciousDomainClassifier
 from repro.core.features import FeatureSpace
 from repro.core.persistence import (
-    load_classifier,
-    load_embedding,
-    load_feature_space,
-    load_scaler,
-    load_similarity_graph,
-    save_classifier,
-    save_embedding,
-    save_feature_space,
-    save_scaler,
-    save_similarity_graph,
+    decode_classifier,
+    decode_embedding,
+    decode_scaler,
+    decode_similarity_graph,
+    encode_classifier,
+    encode_embedding,
+    encode_scaler,
+    encode_similarity_graph,
 )
+from repro.core.stages import ArtifactStore
 from repro.embedding.line import LineConfig, LineEmbedding
 from repro.errors import NotFittedError
 from repro.graphs.projection import SimilarityGraph
+from repro.ingest import PipelineCheckpointer
+from repro.ingest.checkpoint import STAGE_EMBED
 from repro.ml.preprocessing import StandardScaler
+from repro.parallel.executor import ParallelConfig
 
 
-def _add_legacy_key(path, field, key, value):
-    """Rewrite the JSON sidecar ``field`` of an archive with one more key.
-
-    Reproduces archives written by older versions, whose configs carried
-    options that no longer exist.
-    """
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    payload = json.loads(str(arrays[field]))
-    payload[key] = value
-    arrays[field] = np.array(json.dumps(payload))
-    np.savez_compressed(path, **arrays)
+def _through_disk(tmp_path, arrays, meta=None):
+    """Write ``arrays`` as one artifact file and read them back."""
+    target = tmp_path / "artifact"
+    write_artifact(
+        tmp_path,
+        ArtifactManifest(kind="codec-test", meta={"codec": meta or {}}),
+        {"data.npz": arrays},
+        lambda staging: staging.rename(target),
+    )
+    manifest, files = read_artifact(target, "codec-test")
+    return files["data.npz"], manifest.meta["codec"]
 
 
 @pytest.fixture()
@@ -62,44 +68,47 @@ def graph():
 
 class TestEmbeddingRoundTrip:
     def test_round_trip(self, embedding, tmp_path):
-        path = tmp_path / "embedding.npz"
-        save_embedding(embedding, path)
-        # Second pass: an archive written while the LINE inner loop was
-        # selectable, whose config carries a "kernel" key.
-        for legacy in (None, ("kernel", "add_at")):
-            if legacy is not None:
-                _add_legacy_key(path, "config_json", *legacy)
-            loaded = load_embedding(path)
-            assert loaded.kind == embedding.kind
-            assert loaded.domains == embedding.domains
-            assert np.allclose(loaded.vectors, embedding.vectors)
-            assert loaded.config == embedding.config
+        loaded = decode_embedding(
+            *_through_disk(tmp_path, *encode_embedding(embedding))
+        )
+        assert loaded.kind == embedding.kind
+        assert loaded.domains == embedding.domains
+        assert loaded.vectors.tobytes() == embedding.vectors.tobytes()
+        assert loaded.config == embedding.config
 
     def test_lookup_works_after_load(self, embedding, tmp_path):
-        path = tmp_path / "embedding.npz"
-        save_embedding(embedding, path)
-        loaded = load_embedding(path)
+        loaded = decode_embedding(
+            *_through_disk(tmp_path, *encode_embedding(embedding))
+        )
         assert np.allclose(loaded.vector("b.net"), embedding.vector("b.net"))
         assert np.all(loaded.vector("missing.example") == 0)
 
 
 class TestFeatureSpaceRoundTrip:
     def test_round_trip(self, embedding, tmp_path):
+        # The three views travel as the embed stage's checkpoint.
         space = FeatureSpace(query=embedding, ip=embedding, temporal=embedding)
-        save_feature_space(space, tmp_path / "space")
-        loaded = load_feature_space(tmp_path / "space")
+        stage = EmbedStage(embedding.config, ParallelConfig())
+        store = ArtifactStore()
+        store.put(FEATURE_SPACE, space)
+        checkpointer = PipelineCheckpointer(tmp_path)
+        checkpointer.save(STAGE_EMBED, *stage.save_artifacts(store))
+        manifest, files = checkpointer.load(STAGE_EMBED)
+        restored = ArtifactStore()
+        stage.load_artifacts(files, manifest, restored)
+        loaded = restored.get(FEATURE_SPACE)
         assert loaded.dimension == space.dimension
-        assert np.allclose(
-            loaded.matrix(["a.com", "c.org"]),
-            space.matrix(["a.com", "c.org"]),
+        assert (
+            loaded.matrix(["a.com", "c.org"]).tobytes()
+            == space.matrix(["a.com", "c.org"]).tobytes()
         )
 
 
 class TestGraphRoundTrip:
     def test_round_trip(self, graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_similarity_graph(graph, path)
-        loaded = load_similarity_graph(path)
+        loaded = decode_similarity_graph(
+            *_through_disk(tmp_path, *encode_similarity_graph(graph))
+        )
         assert loaded.kind == graph.kind
         assert loaded.domains == graph.domains
         assert loaded.weight_between("a.com", "b.net") == 0.5
@@ -108,9 +117,9 @@ class TestGraphRoundTrip:
     def test_embeddable_after_load(self, graph, tmp_path):
         from repro.embedding.line import train_line
 
-        path = tmp_path / "graph.npz"
-        save_similarity_graph(graph, path)
-        loaded = load_similarity_graph(path)
+        loaded = decode_similarity_graph(
+            *_through_disk(tmp_path, *encode_similarity_graph(graph))
+        )
         result = train_line(
             loaded, LineConfig(dimension=4, total_samples=5_000)
         )
@@ -126,30 +135,24 @@ class TestClassifierRoundTrip:
 
     def test_decision_function_byte_exact(self, fitted, tmp_path, rng):
         classifier, __ = fitted
-        path = tmp_path / "classifier.npz"
-        save_classifier(classifier, path)
+        loaded = decode_classifier(
+            *_through_disk(tmp_path, *encode_classifier(classifier))
+        )
         probe = rng.normal(size=(12, 5))
-        # Second pass: an archive written while the SMO solver was
-        # selectable, whose params carry a "solver" key.
-        for legacy in (None, ("solver", "dense")):
-            if legacy is not None:
-                _add_legacy_key(path, "params_json", *legacy)
-            loaded = load_classifier(path)
-            # Not allclose: the kernel expansion over bit-equal float64
-            # support vectors must reproduce scores exactly.
-            assert np.array_equal(
-                loaded.decision_function(probe),
-                classifier.decision_function(probe),
-            )
-            assert np.array_equal(
-                loaded.predict(probe), classifier.predict(probe)
-            )
+        # Not allclose: the kernel expansion over bit-equal float64
+        # support vectors, and a bias that crossed JSON, must reproduce
+        # scores exactly.
+        assert (
+            loaded.decision_function(probe).tobytes()
+            == classifier.decision_function(probe).tobytes()
+        )
+        assert np.array_equal(loaded.predict(probe), classifier.predict(probe))
 
     def test_calibrated_threshold_preserved(self, fitted, tmp_path):
         classifier, __ = fitted
-        path = tmp_path / "classifier.npz"
-        save_classifier(classifier, path)
-        loaded = load_classifier(path)
+        loaded = decode_classifier(
+            *_through_disk(tmp_path, *encode_classifier(classifier))
+        )
         assert loaded.threshold is None  # configured: calibrate-on-fit
         assert loaded.threshold_ == classifier.threshold_
 
@@ -159,25 +162,22 @@ class TestClassifierRoundTrip:
         classifier = MaliciousDomainClassifier(threshold=0.5).fit(
             features, labels
         )
-        path = tmp_path / "classifier.npz"
-        save_classifier(classifier, path)
-        loaded = load_classifier(path)
+        loaded = decode_classifier(
+            *_through_disk(tmp_path, *encode_classifier(classifier))
+        )
         assert loaded.threshold == 0.5
         assert loaded.threshold_ == 0.5
 
-    def test_unfitted_classifier_rejected(self, tmp_path):
+    def test_unfitted_classifier_rejected(self):
         with pytest.raises(NotFittedError):
-            save_classifier(
-                MaliciousDomainClassifier(), tmp_path / "classifier.npz"
-            )
+            encode_classifier(MaliciousDomainClassifier())
 
 
 class TestScalerRoundTrip:
     def test_transform_byte_exact(self, rng, tmp_path):
         scaler = StandardScaler().fit(rng.normal(size=(40, 6)))
-        path = tmp_path / "scaler.npz"
-        save_scaler(scaler, path)
-        loaded = load_scaler(path)
+        arrays, __ = _through_disk(tmp_path, encode_scaler(scaler))
+        loaded = decode_scaler(arrays)
         probe = rng.normal(size=(10, 6))
         assert np.array_equal(loaded.mean_, scaler.mean_)
         assert np.array_equal(loaded.scale_, scaler.scale_)
@@ -185,6 +185,6 @@ class TestScalerRoundTrip:
             loaded.transform(probe), scaler.transform(probe)
         )
 
-    def test_unfitted_scaler_rejected(self, tmp_path):
+    def test_unfitted_scaler_rejected(self):
         with pytest.raises(NotFittedError):
-            save_scaler(StandardScaler(), tmp_path / "scaler.npz")
+            encode_scaler(StandardScaler())

@@ -38,6 +38,17 @@ class TestPublish:
         ]
         assert leftovers == []
 
+    def test_another_publishers_staging_left_alone(self, make_bundle, tmp_path):
+        # Unlike a checkpoint root, a registry root may have concurrent
+        # publishers: a staging directory there may still be filling.
+        registry = ModelRegistry(tmp_path / "models")
+        in_flight = registry.root / ".staging-x"
+        in_flight.mkdir()
+        (in_flight / "f").write_bytes(b"partial")
+        registry.publish(make_bundle())
+        assert (in_flight / "f").read_bytes() == b"partial"
+        assert registry.versions() == [1]
+
     def test_existing_slot_never_overwritten(self, make_bundle, tmp_path):
         registry = ModelRegistry(tmp_path / "models")
         registry.publish(make_bundle(seed=1))

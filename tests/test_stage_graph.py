@@ -15,8 +15,6 @@ Three layers of coverage:
   clusters.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -201,11 +199,12 @@ class _PersistedStage(Stage[None, int]):
         current = store.maybe(VAL) or 0
         store.put(VAL, current + self.value)
 
-    def save_artifacts(self, staging: Path, store: ArtifactStore):
-        (staging / "value.txt").write_text(str(store.get(VAL)))
-        return {"value": store.get(VAL)}
+    def save_artifacts(self, store: ArtifactStore):
+        return {"value.npz": {"value": np.array([store.get(VAL)])}}, {
+            "value": store.get(VAL)
+        }
 
-    def load_artifacts(self, directory, manifest, store):
+    def load_artifacts(self, files, manifest, store):
         store.put(VAL, int(manifest.meta["value"]))
 
 
@@ -220,12 +219,11 @@ class _RawStage(Stage[None, int]):
         self.runs += 1
         store.put(LEFT, 1)
 
-    def save_artifacts(self, staging: Path, store: ArtifactStore):
-        (staging / "raw.txt").write_text(str(store.get(LEFT)))
-        return {}
+    def save_artifacts(self, store: ArtifactStore):
+        return {"raw.npz": {"left": np.array([store.get(LEFT)])}}, {}
 
-    def load_artifacts(self, directory, manifest, store):
-        store.put(LEFT, int((directory / "raw.txt").read_text()))
+    def load_artifacts(self, files, manifest, store):
+        store.put(LEFT, int(files["raw.npz"]["left"][0]))
 
 
 class _SupersedingStage(_PersistedStage):
@@ -253,7 +251,7 @@ class TestCheckpointPolicy:
         assert report.executed == [STAGE_PRUNE]
         assert report.resumed_from is None
         assert checkpointer.has(STAGE_PRUNE)
-        __, manifest = checkpointer.verify(STAGE_PRUNE)
+        manifest, __ = checkpointer.load(STAGE_PRUNE)
         assert manifest.meta["value"] == 40
 
     def test_resume_restores_instead_of_running(self, checkpointer):
@@ -289,7 +287,7 @@ class TestCheckpointPolicy:
         # work: resume must load it AND run the stage to finish.
         checkpointer.save(
             STAGE_PRUNE,
-            lambda staging: (staging / "value.txt").write_text("40"),
+            {"value.npz": {"value": np.array([40])}},
             {"value": 5},
             complete=False,
         )
@@ -322,11 +320,7 @@ class TestCheckpointPolicy:
     def test_rerun_invalidates_downstream_checkpoints(self, checkpointer):
         # Plant a later-stage checkpoint, then re-run an earlier stage:
         # the stale downstream checkpoint must be dropped.
-        checkpointer.save(
-            STAGE_PROJECT,
-            lambda staging: (staging / "p.txt").write_text("x"),
-            {},
-        )
+        checkpointer.save(STAGE_PROJECT, {"p.npz": {"p": np.arange(1)}}, {})
         StageGraph([_PersistedStage()]).execute(
             ArtifactStore(), self._ctx(checkpointer, False)
         )

@@ -152,10 +152,9 @@ class TestStreamingDetector:
         assert version == 1
         bundle = registry.load(1)
         assert bundle.domains == stream.known_domains
-        assert bundle.manifest.meta["refreshes"] == float(stream.refreshes)
-        assert bundle.manifest.meta["records_ingested"] == float(
-            stream.records_ingested
-        )
+        metrics = bundle.manifest.meta["metrics"]
+        assert metrics["refreshes"] == float(stream.refreshes)
+        assert metrics["records_ingested"] == float(stream.records_ingested)
         assert default_registry().gauge("serve.model_version").value == 1
         # A second refresh->publish cycle appends, never overwrites.
         assert stream.publish(registry) == 2
